@@ -148,8 +148,8 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheduler", choices=["lrr", "gto"], default="lrr")
     parser.add_argument("--core", choices=["auto", "python", "fast"],
                         default="auto",
-                        help="engine core: the pure-Python oracle or the "
-                             "byte-identical fast core ('auto' follows "
+                        help="SM frontend: the readable python SM or the "
+                             "byte-identical inlined fast SM ('auto' follows "
                              "REPRO_CORE; see README 'Engine cores')")
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--hierarchy", metavar="FILE", default=None,

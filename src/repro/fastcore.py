@@ -1,15 +1,13 @@
-"""Engine-core selection: the python oracle vs. the fast core.
+"""Core selection: the python SM frontend vs. the inlined fast one.
 
-The simulator ships two implementations of its hot paths:
+The engine and the whole memory side exist once.  What the core picks is
+the SM frontend:
 
-* the **python core** -- the original pure-Python engine, SM frontend and
-  set-associative tag arrays.  It is the *byte-identity oracle*: every
-  golden artifact, cached scenario result and record→replay trace is
-  defined by its behavior.
-* the **fast core** -- the calendar-queue scheduler
-  (:class:`repro.sim.engine_fast.CalendarEngine`), the inlined SM tick
-  (:class:`repro.gpu.sm_fast.FastSM`) and the flat tag-array /
-  pooled-MSHR datapath.  It must produce byte-identical results; CI
+* the **python core** runs :class:`repro.gpu.sm.SM`, the readable
+  per-cycle issue/classify loop;
+* the **fast core** runs :class:`repro.gpu.sm_fast.FastSM`, the same tick
+  inlined into one method.  It must produce byte-identical results; the
+  digest corpus in ``tests/core_digests.json`` pins both frontends, and CI
   regenerates the fig6.x goldens under both cores and ``cmp``s them.
 
 Selection happens at **import time** from the environment and can be
@@ -22,11 +20,6 @@ overridden per-config:
   ``"auto"`` defers to the environment, ``"python"``/``"fast"`` win over
   it.  The field never enters ``to_dict()`` / scenario cache keys --
   both cores must produce the same bytes, so results are shared.
-
-An optional compiled build of the fast modules (mypyc / Cython) slots in
-behind the same selector: :func:`compiled_available` probes for it and
-the fast core silently falls back to the pure-Python fast modules when
-no compiler ever ran (the common case; the container ships neither).
 """
 
 from __future__ import annotations
@@ -53,18 +46,3 @@ def resolve_core(config_core: str = "auto") -> str:
     if config_core == "auto":
         return DEFAULT_CORE
     return config_core
-
-
-def compiled_available() -> bool:
-    """Is a mypyc/Cython build of the fast modules importable?
-
-    The stretch-goal compiled core registers itself as
-    ``repro._compiled`` when built; absent a compiler (the supported
-    baseline) this is simply ``False`` and the pure-Python fast modules
-    serve the fast core.
-    """
-    try:
-        import repro._compiled  # noqa: F401
-    except ImportError:
-        return False
-    return True

@@ -27,7 +27,7 @@ the fast core replaces :meth:`SM.tick` with a flattened equivalent:
 None of this changes any observable ordering: the same warps are
 evaluated in the same order with the same side effects (scoreboard lazy
 retirement, LSU/SFU rejection counters), the same events are scheduled
-with the same engine sequence numbers, and the attribution sinks receive
+in the same order, and the attribution sinks receive
 the same totals.  When a trace tap or a timeline *is* installed,
 ``record`` calls are semantically visible per cycle (the trace stream
 stores the spans themselves), so those paths call ``record`` exactly as

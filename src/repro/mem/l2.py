@@ -37,7 +37,7 @@ from functools import partial
 
 from repro.core.component import Component
 from repro.core.stall_types import ServiceLocation
-from repro.mem.cache import LineState, SetAssocCache
+from repro.mem.cache import LineState
 from repro.mem.hierarchy import BankedTagArray, CacheLevelSpec, SharedCacheLevel
 from repro.mem.main_memory import Dram, GlobalMemory
 from repro.noc.mesh import Mesh
@@ -56,7 +56,6 @@ class L2Cache(Component):
         dram: Dram,
         spec: CacheLevelSpec | None = None,
         next_levels: "list[SharedCacheLevel] | None" = None,
-        cache_cls: type = SetAssocCache,
     ) -> None:
         if spec is None:
             spec = config.effective_hierarchy().directory_level
@@ -73,7 +72,6 @@ class L2Cache(Component):
             spec.sets(config.line_size),
             spec.assoc,
             spec.banks,
-            cache_cls=cache_cls,
         )
         self._dir_latency = spec.effective_dir_latency
         #: data-array portion of an access beyond the directory lookup
@@ -154,8 +152,8 @@ class L2Cache(Component):
         Dispatched through the engine's one-argument ``schedule_call``
         lane: the bank is recomputed from the line at service time (it is
         a pure function of the address), so no closure or partial is built
-        per message -- and under the fast core every request maturing on
-        one cycle shares a single calendar bucket.
+        per message, and every request maturing on one cycle shares a
+        single engine bucket.
         """
         # _bank_service_delay inlined (one request per bank per cycle):
         # this runs once per delivered request message.

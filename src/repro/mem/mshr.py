@@ -34,7 +34,12 @@ class MshrEntry:
 
 
 class Mshr(Component):
-    """Per-SM miss tracking with merge (secondary-miss coalescing)."""
+    """Per-SM miss tracking with merge (secondary-miss coalescing).
+
+    Entries are pooled: completed entries come back through
+    :meth:`recycle` and are re-armed in place, so steady-state misses
+    allocate no :class:`MshrEntry` (and no waiter lists).
+    """
 
     def __init__(self, capacity: int, name: str = "mshr") -> None:
         if capacity < 1:
@@ -42,6 +47,7 @@ class Mshr(Component):
         Component.__init__(self, name)
         self.capacity = capacity
         self._entries: dict[int, MshrEntry] = {}
+        self._free: list[MshrEntry] = []
         # statistics
         self.allocations = self.stat_counter("allocations")
         self.merges = self.stat_counter("merges")
@@ -62,14 +68,22 @@ class Mshr(Component):
 
     def allocate(self, line: int, req_id: int, now: int = 0) -> MshrEntry:
         """Allocate a primary-miss entry.  Caller must check :meth:`is_full`."""
-        if line in self._entries:
+        entries = self._entries
+        if line in entries:
             raise ValueError("line %#x already has an MSHR entry" % line)
-        if self.is_full():
+        if len(entries) >= self.capacity:
             raise RuntimeError("MSHR overflow")
-        entry = MshrEntry(line=line, req_id=req_id, allocated_at=now)
-        self._entries[line] = entry
+        free = self._free
+        if free:
+            entry = free.pop()
+            entry.line = line
+            entry.req_id = req_id
+            entry.allocated_at = now
+        else:
+            entry = MshrEntry(line=line, req_id=req_id, allocated_at=now)
+        entries[line] = entry
         self.allocations.value += 1
-        occupied = len(self._entries)
+        occupied = len(entries)
         self.peak_occupancy.maximize(occupied)
         self.occupancy_hist.observe(occupied)
         return entry
@@ -92,52 +106,14 @@ class Mshr(Component):
         self.full_rejections.value += 1
 
     def recycle(self, entry: MshrEntry) -> None:
-        """Hand a completed entry back once its waiters have been serviced.
+        """Hand a completed entry back to the pool.
 
-        A no-op here (retired entries just die to the GC); the fast core's
-        :class:`FastMshr` pools them.  The L1 controller calls this at the
-        end of its fill handler, after the last waiter callback ran.
+        The L1 controller calls this at the end of its fill handler, after
+        the last waiter callback ran, so no live reference remains.
         """
-
-    def outstanding_lines(self) -> list[int]:
-        return list(self._entries.keys())
-
-
-class FastMshr(Mshr):
-    """Pooled-entry MSHR for the fast core.
-
-    Steady-state misses allocate no :class:`MshrEntry` (and no waiter
-    lists): completed entries return to a freelist via :meth:`recycle`
-    and are re-armed in place.  Stats, merge and completion semantics are
-    inherited unchanged, so the two cores count identically.
-    """
-
-    def __init__(self, capacity: int, name: str = "mshr") -> None:
-        Mshr.__init__(self, capacity, name)
-        self._free: list[MshrEntry] = []
-
-    def allocate(self, line: int, req_id: int, now: int = 0) -> MshrEntry:
-        entries = self._entries
-        if line in entries:
-            raise ValueError("line %#x already has an MSHR entry" % line)
-        if len(entries) >= self.capacity:
-            raise RuntimeError("MSHR overflow")
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry.line = line
-            entry.req_id = req_id
-            entry.allocated_at = now
-        else:
-            entry = MshrEntry(line=line, req_id=req_id, allocated_at=now)
-        entries[line] = entry
-        self.allocations.value += 1
-        occupied = len(entries)
-        self.peak_occupancy.maximize(occupied)
-        self.occupancy_hist.observe(occupied)
-        return entry
-
-    def recycle(self, entry: MshrEntry) -> None:
         entry.waiters.clear()
         entry.merged_waiters.clear()
         self._free.append(entry)
+
+    def outstanding_lines(self) -> list[int]:
+        return list(self._entries.keys())

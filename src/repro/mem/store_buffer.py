@@ -20,7 +20,6 @@ waits on, and what the "pending release" structural stall measures.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,7 +40,15 @@ class SbEntry:
 
 
 class StoreBuffer(Component):
-    """Write-combining store buffer with flush barriers."""
+    """Write-combining store buffer with flush barriers.
+
+    ``_entries`` is keyed by each entry's ``seq``, so an ack that carries
+    the sequence number (the L1 always round-trips it through the message
+    ``meta``) frees its entry by direct index.  Freed :class:`SbEntry`
+    objects (and their word sets) are pooled and re-armed in place on the
+    next non-combining store, so an entry handed out by :meth:`write` or
+    to ``issue_fn`` is only valid until its ack.
+    """
 
     def __init__(
         self,
@@ -59,7 +66,9 @@ class StoreBuffer(Component):
         self.drain_interval = drain_interval
         self._issue_fn = issue_fn
         #: seq -> entry, in allocation (and hence drain) order
-        self._entries: OrderedDict[int, SbEntry] = OrderedDict()
+        self._entries: dict[int, SbEntry] = {}
+        #: acknowledged entries, re-armed by the next non-combining store
+        self._free: list[SbEntry] = []
         #: line -> seq of its PENDING (combinable) entry, if any
         self._pending_by_line: dict[int, int] = {}
         self._seq = 0
@@ -92,99 +101,6 @@ class StoreBuffer(Component):
 
     def write(self, line: int, words: set[int] | None = None) -> SbEntry:
         """Buffer a store to ``line``.  Caller must check :meth:`can_accept`."""
-        words = words or set()
-        if self.has_combinable_entry(line):
-            entry = self._entries[self._pending_by_line[line]]
-            entry.words |= words
-            self.combines.value += 1
-            self.stores_accepted.value += 1
-            return entry
-        if self.is_full():
-            raise RuntimeError("store buffer overflow")
-        self._seq += 1
-        entry = SbEntry(line=line, words=set(words), seq=self._seq)
-        self._entries[self._seq] = entry
-        if self.write_combining:
-            self._pending_by_line[line] = self._seq
-        self.stores_accepted.value += 1
-        self.peak_occupancy.maximize(len(self._entries))
-        return entry
-
-    # ------------------------------------------------------------------
-    def drain_one(self) -> SbEntry | None:
-        """Issue the oldest PENDING entry to the memory system, if any."""
-        for entry in self._entries.values():
-            if entry.state is SbEntryState.PENDING:
-                entry.state = SbEntryState.ISSUED
-                if self._pending_by_line.get(entry.line) == entry.seq:
-                    del self._pending_by_line[entry.line]
-                self._issue_fn(entry)
-                return entry
-        return None
-
-    def has_pending(self) -> bool:
-        return any(e.state is SbEntryState.PENDING for e in self._entries.values())
-
-    def ack(self, line: int, seq: int | None = None) -> None:
-        """The memory system acknowledged the entry for ``line``: free it."""
-        key = None
-        for k, entry in self._entries.items():
-            if entry.line == line and entry.state is SbEntryState.ISSUED:
-                if seq is None or entry.seq == seq:
-                    key = k
-                    break
-        if key is None:
-            raise KeyError("no issued store-buffer entry for line %#x" % line)
-        del self._entries[key]
-        self._check_flush_waiters()
-
-    # ------------------------------------------------------------------
-    def flush(self, on_done: Callable[[], None]) -> None:
-        """Run ``on_done`` once every entry allocated so far is acknowledged."""
-        self.flushes.value += 1
-        if self.is_empty():
-            on_done()
-            return
-        self._flush_waiters.append((self._seq, on_done))
-
-    def flush_in_progress(self) -> bool:
-        return bool(self._flush_waiters)
-
-    def _check_flush_waiters(self) -> None:
-        if not self._flush_waiters:
-            return
-        oldest_live = min((e.seq for e in self._entries.values()), default=None)
-        ready: list[Callable[[], None]] = []
-        remaining: list[tuple[int, Callable[[], None]]] = []
-        for barrier_seq, cb in self._flush_waiters:
-            if oldest_live is None or oldest_live > barrier_seq:
-                ready.append(cb)
-            else:
-                remaining.append((barrier_seq, cb))
-        self._flush_waiters = remaining
-        for cb in ready:
-            cb()
-
-
-class FastStoreBuffer(StoreBuffer):
-    """Pooled-entry store buffer with O(1) acknowledgement, for the fast
-    core.
-
-    ``_entries`` is keyed by each entry's ``seq``, so an ack that carries
-    the sequence number (the L1 always round-trips it through the message
-    ``meta``) frees its entry by direct index instead of the oracle's
-    oldest-first scan -- same entry, since sequence numbers are unique.
-    Freed :class:`SbEntry` objects (and their word sets) are pooled and
-    re-armed in place on the next non-combining store.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        StoreBuffer.__init__(self, *args, **kwargs)
-        #: plain dict (insertion-ordered, like the oracle's OrderedDict)
-        self._entries: dict[int, SbEntry] = {}
-        self._free: list[SbEntry] = []
-
-    def write(self, line: int, words: set[int] | None = None) -> SbEntry:
         if self.has_combinable_entry(line):
             entry = self._entries[self._pending_by_line[line]]
             if words:
@@ -216,10 +132,33 @@ class FastStoreBuffer(StoreBuffer):
         self.peak_occupancy.maximize(len(entries))
         return entry
 
+    # ------------------------------------------------------------------
+    def drain_one(self) -> SbEntry | None:
+        """Issue the oldest PENDING entry to the memory system, if any."""
+        for entry in self._entries.values():
+            if entry.state is SbEntryState.PENDING:
+                entry.state = SbEntryState.ISSUED
+                if self._pending_by_line.get(entry.line) == entry.seq:
+                    del self._pending_by_line[entry.line]
+                self._issue_fn(entry)
+                return entry
+        return None
+
+    def has_pending(self) -> bool:
+        return any(e.state is SbEntryState.PENDING for e in self._entries.values())
+
     def ack(self, line: int, seq: int | None = None) -> None:
-        if seq is None:  # legacy callers without a sequence: oracle scan
-            StoreBuffer.ack(self, line, seq)
-            return
+        """The memory system acknowledged the entry for ``line``: free it.
+
+        With ``seq`` the entry is found by direct index; without it, the
+        oldest issued entry for ``line`` is.
+        """
+        if seq is None:
+            seq = next(
+                (k for k, e in self._entries.items()
+                 if e.line == line and e.state is SbEntryState.ISSUED),
+                None,
+            )
         entry = self._entries.get(seq)
         if (
             entry is None
@@ -230,3 +169,30 @@ class FastStoreBuffer(StoreBuffer):
         del self._entries[seq]
         self._free.append(entry)
         self._check_flush_waiters()
+
+    # ------------------------------------------------------------------
+    def flush(self, on_done: Callable[[], None]) -> None:
+        """Run ``on_done`` once every entry allocated so far is acknowledged."""
+        self.flushes.value += 1
+        if self.is_empty():
+            on_done()
+            return
+        self._flush_waiters.append((self._seq, on_done))
+
+    def flush_in_progress(self) -> bool:
+        return bool(self._flush_waiters)
+
+    def _check_flush_waiters(self) -> None:
+        if not self._flush_waiters:
+            return
+        oldest_live = min((e.seq for e in self._entries.values()), default=None)
+        ready: list[Callable[[], None]] = []
+        remaining: list[tuple[int, Callable[[], None]]] = []
+        for barrier_seq, cb in self._flush_waiters:
+            if oldest_live is None or oldest_live > barrier_seq:
+                ready.append(cb)
+            else:
+                remaining.append((barrier_seq, cb))
+        self._flush_waiters = remaining
+        for cb in ready:
+            cb()

@@ -165,11 +165,9 @@ class Mesh(Component):
         self.messages_sent += 1
         self.total_hops += hops
         self.total_latency += delivery - now
-        # The engine pairs (handler, msg) itself: the oracle engine builds
-        # the same C-level partial this always used, while the calendar
-        # engine appends the bare pair to the delivery cycle's bucket --
-        # every message landing on one cycle drains in a single batch with
-        # no per-message closure.
+        # The engine appends the bare (handler, msg) pair to the delivery
+        # cycle's bucket: every message landing on one cycle drains in a
+        # single batch with no per-message closure.
         engine.schedule_call(delivery - now, handler, msg)
         return delivery
 

@@ -82,18 +82,26 @@ class Message:
 #: freelist for the hottest request/response round trips.  Only the two
 #: consumers that provably retire their message push here (the L2 atomic
 #: RMW after it sends the response, the L1 data handler after the last
-#: waiter ran); the two matching producers pop.  Steady-state atomics and
-#: fills then allocate no Message objects at all.
+#: waiter ran); the two matching producers (the L1 atomic request, the L2
+#: atomic response) pop.  Steady-state atomics then allocate no Message
+#: objects at all.
 _msg_pool: list[Message] = []
+
+#: The L1 also retires load-fill DATA responses, which the L2 builds
+#: outside the pool, so pushes outnumber pops and an uncapped freelist
+#: grows by that surplus on every run in the process.  The cap is well
+#: above the messages a Table 5.1 machine keeps in flight.
+MSG_POOL_CAP = 1024
 
 
 def recycle_message(msg: Message) -> None:
-    """Return a retired message to the pool.
+    """Return a retired message to the pool (dropped once it is full).
 
     The caller must guarantee no live reference remains: the message is
     not stored in any table, bucket, or closure.  Fields are overwritten
     (not cleared) on reuse."""
-    _msg_pool.append(msg)
+    if len(_msg_pool) < MSG_POOL_CAP:
+        _msg_pool.append(msg)
 
 
 def alloc_message(

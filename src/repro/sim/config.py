@@ -138,11 +138,12 @@ class SystemConfig:
     timeline_window: int | None = None
 
     # --- engine core --------------------------------------------------------
-    #: which engine core elaborates this system: ``"auto"`` defers to the
-    #: ``REPRO_CORE`` environment variable (default ``python``), while
-    #: ``"python"`` / ``"fast"`` pin it.  Both cores are byte-identical by
-    #: contract, so the field never enters :meth:`to_dict` -- cache keys,
-    #: recorded traces and golden artifacts are shared between them.
+    #: which SM frontend elaborates this system (``SM`` or the inlined
+    #: ``FastSM``): ``"auto"`` defers to the ``REPRO_CORE`` environment
+    #: variable (default ``python``), while ``"python"`` / ``"fast"`` pin
+    #: it.  Both cores are byte-identical by contract, so the field never
+    #: enters :meth:`to_dict` -- cache keys, recorded traces and golden
+    #: artifacts are shared between them.
     core: str = "auto"
 
     # --- run control -----------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.gpu.kernel import Kernel
 from repro.gpu.sm import SM
 from repro.gpu.sm_fast import FastSM
 from repro.gpu.tb_scheduler import ThreadBlockScheduler
-from repro.mem.cache import FlatSetAssocCache, SetAssocCache
+from repro.mem.cache import SetAssocCache
 from repro.mem.coherence import make_protocol
 from repro.mem.coherence.denovo import DeNovoCoherence
 from repro.mem.dma import DmaEngine
@@ -39,7 +39,6 @@ from repro.noc.mesh import Mesh
 from repro.noc.message import Message, MsgType
 from repro.sim.config import LocalMemory, SystemConfig
 from repro.sim.engine import Engine
-from repro.sim.engine_fast import CalendarEngine
 
 _L2_REQUESTS = frozenset(
     {MsgType.GETS, MsgType.PUT_WT, MsgType.GETO, MsgType.ATOMIC, MsgType.WB_OWNED}
@@ -111,13 +110,11 @@ class System(Component):
     def __init__(self, config: SystemConfig) -> None:
         Component.__init__(self, "system")
         self.config = config
-        #: resolved engine core ("python" or "fast"); see repro.fastcore.
-        #: The two cores are byte-identical by contract -- the fast core
-        #: swaps in the calendar-queue scheduler, the inlined SM frontend
-        #: and the flat tag arrays, all oracle-checked in CI.
+        #: resolved core ("python" or "fast"); see repro.fastcore.  The
+        #: two cores differ only in the SM frontend (``SM`` vs the inlined
+        #: ``FastSM``) and are byte-identical by contract.
         self.core = resolve_core(config.core)
-        fast = self.core == "fast"
-        self.engine = CalendarEngine() if fast else Engine()
+        self.engine = Engine()
         self.add_child(self.engine)
         self.mesh = Mesh(
             self.engine,
@@ -158,7 +155,6 @@ class System(Component):
             self.dram,
             spec=shared_specs[0],
             next_levels=self.shared_levels,
-            cache_cls=FlatSetAssocCache if fast else SetAssocCache,
         )
         self.add_child(self.l2)
         self.inspector = Inspector(
@@ -186,9 +182,7 @@ class System(Component):
                 key = (spec.name, sm_id // spec.cluster_size)
                 tags = cluster_tags.get(key)
                 if tags is None:
-                    tags = cluster_tags[key] = (
-                        FlatSetAssocCache if fast else SetAssocCache
-                    )(
+                    tags = cluster_tags[key] = SetAssocCache(
                         spec.size // (config.line_size * spec.assoc),
                         spec.assoc,
                         name=spec.name,
@@ -217,7 +211,6 @@ class System(Component):
                 self.memory,
                 levels=core_specs,
                 shared_tags=_cluster_tags_for(sm_id),
-                fast=fast,
             )
             self._l1_by_node[node] = l1
             scratchpad = dma = stash = None
@@ -234,7 +227,7 @@ class System(Component):
             attribution = (
                 self.inspector.sm(sm_id) if config.gsi_enabled else None
             )
-            sm = (FastSM if fast else SM)(
+            sm = (FastSM if self.core == "fast" else SM)(
                 sm_id,
                 node,
                 config,
@@ -259,7 +252,6 @@ class System(Component):
                 cpu_protocol,
                 self.memory,
                 levels=cpu_specs,
-                fast=fast,
             )
             self._l1_by_node[node] = l1
             cpu = CpuCore(cpu_id, node, l1)

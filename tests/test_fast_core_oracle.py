@@ -1,75 +1,45 @@
-"""Differential oracle: the fast core must match the python core exactly.
+"""Differential oracle: both SM frontends against each other and the corpus.
 
-The fast core (``REPRO_CORE=fast`` / ``SystemConfig.core``) swaps in the
-calendar-queue scheduler, the inlined SM frontend and the flat-array
-memory datapath -- but its contract is *byte identity*: every statistic
-of every scenario must equal the pure-Python oracle's, field for field.
-This test runs the full fig6.x fast-size scenario set plus the five
-fleet workloads under both cores in one process (``SystemConfig.core``
-pins a single system regardless of the environment) and diffs:
+The two cores share the engine and the whole memory side; they differ
+only in the SM frontend (``SM`` vs the inlined ``FastSM``).  Their
+contract is *byte identity*.  This test runs the full fig6.x fast-size
+scenario set plus the five fleet workloads under both cores in one
+process (``SystemConfig.core`` pins a single system regardless of the
+environment) and checks each run two ways:
 
-* the serialized result (``SimResult.to_dict()``: cycles, instructions,
-  the stall breakdown, per-SM breakdowns, the frozen stats schema), and
-* the complete flattened component stats tree -- every counter,
-  histogram and derived stat of every component in the machine, which is
-  strictly stronger than the artifact schema and catches divergence in
-  parts no figure renders (engine event/wakeup counts, mesh slot
-  accounting, per-bank L2 counters, ...).
+* against the committed digest corpus (``tests/core_digests.json``,
+  regenerated by ``tests/core_digests.py``), which pins the serialized
+  result and the complete flattened component stats tree of every
+  scenario -- so a change that moves both cores the same way still
+  fails, and
+* against the other core, field for field: the serialized result
+  (``SimResult.to_dict()``) and the flattened stats tree, which names
+  the diverging stat when a digest alone would only say "changed".
 
-Any mismatch here means a fast-path rewrite changed simulation order or
-dropped a side effect; fix the fast core, never the oracle.
+A digest mismatch on both cores means the simulation changed: fix the
+change, or regenerate the corpus only if the new behaviour is intended
+(and the fig6.x goldens are regenerated with it).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.campaign import DEFAULT_FLEET
-from repro.experiments.figures import _implicit_grid, _uts_protocol_grid
-from repro.experiments.spec import Scenario, Sweep
-from repro.system import run_workload
+from tests.core_digests import SCENARIOS, digest, load_corpus, simulate
 
-
-def _fig6x_fast_scenarios() -> list[Scenario]:
-    """The scenario grids of the fig6.x artifacts at --fast sizes
-    (the sizes CI's identity gate regenerates the goldens with)."""
-    scenarios: list[Scenario] = []
-    for sc in _uts_protocol_grid("uts", 60, 4):
-        scenarios.append(Scenario("fig6.1/" + sc.name, sc.workload,
-                                  sc.workload_args, sc.config))
-    for sc in _uts_protocol_grid("utsd", 60, 4):
-        scenarios.append(Scenario("fig6.2/" + sc.name, sc.workload,
-                                  sc.workload_args, sc.config))
-    for sc in _implicit_grid(2, 8):
-        scenarios.append(Scenario("fig6.3/" + sc.name, sc.workload,
-                                  sc.workload_args, sc.config))
-    mshr_axis = [{"mshr_entries": s, "store_buffer_entries": s} for s in (32, 256)]
-    for base in _implicit_grid(2, 8):
-        for sc in Sweep(base, {"mshr_entries": mshr_axis}).expand():
-            scenarios.append(Scenario("fig6.4/" + sc.name, sc.workload,
-                                      sc.workload_args, sc.config))
-    return scenarios
-
-
-def _fleet_fast_scenarios() -> list[Scenario]:
-    """The five fleet workloads at their campaign fast sizes."""
-    return [
-        Scenario("fleet/" + label, workload, dict(fast_args), dict(config))
-        for label, workload, _full, fast_args, config in DEFAULT_FLEET
-    ]
-
-
-SCENARIOS = _fig6x_fast_scenarios() + _fleet_fast_scenarios()
+CORPUS = load_corpus()
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=[s.name for s in SCENARIOS])
-def test_fast_core_matches_python_oracle(scenario: Scenario) -> None:
+def test_fast_core_matches_python_oracle(scenario) -> None:
     outcome = {}
     for core in ("python", "fast"):
-        config = scenario.build_config().scaled(core=core)
-        result = run_workload(config, scenario.build_workload())
+        result = simulate(scenario, core)
+        assert digest(result) == CORPUS[scenario.name], (
+            "%s core diverged from the digest corpus" % core
+        )
         outcome[core] = (result.to_dict(), result.stats_tree.flatten())
     py_dict, py_tree = outcome["python"]
     fast_dict, fast_tree = outcome["fast"]
-    assert fast_dict == py_dict, "serialized SimResult diverged from oracle"
-    assert fast_tree == py_tree, "component stats tree diverged from oracle"
+    assert fast_dict == py_dict, "serialized SimResult diverged between cores"
+    assert fast_tree == py_tree, "component stats tree diverged between cores"

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.noc import message
 from repro.noc.mesh import Mesh
 from repro.noc.message import Message, MsgType
+from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
+from repro.system import run_workload
+from repro.workloads import make_workload
 
 
 def make_mesh(rows=4, cols=4, hop=3, bw=2):
@@ -126,3 +130,12 @@ class TestContention:
         assert stats["messages"] == 1
         assert stats["avg_hops"] == 6
         assert stats["avg_latency"] >= 18
+
+
+class TestMessagePool:
+    def test_pool_stays_capped_across_runs(self):
+        # Every run retires more messages into the pool than it takes out;
+        # four runs in one process must not grow it past the cap.
+        for _ in range(4):
+            run_workload(SystemConfig(), make_workload("uts", total_nodes=20))
+            assert 0 < len(message._msg_pool) <= message.MSG_POOL_CAP

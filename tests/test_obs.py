@@ -2,7 +2,7 @@
 
 The crown-jewel property is *provable inertness*: a run with telemetry
 attached must produce a field-for-field identical ``SimResult`` to one
-without, under both engine cores -- telemetry observes through the
+without, under both cores -- telemetry observes through the
 engine's observer-event lane and pure attribution taps, never through
 the simulated machine.
 """
@@ -24,7 +24,6 @@ from repro.obs import (
 )
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
-from repro.sim.engine_fast import CalendarEngine
 from repro.system import System, run_workload
 from repro.workloads import make_workload
 
@@ -38,7 +37,7 @@ def _run(core, telemetry=None, workload="streaming"):
 
 
 class TestObserverLane:
-    @pytest.mark.parametrize("engine_cls", [Engine, CalendarEngine])
+    @pytest.mark.parametrize("engine_cls", [Engine])
     def test_observer_events_excluded_from_events_stat(self, engine_cls):
         engine = engine_cls()
         fired = []
@@ -51,7 +50,7 @@ class TestObserverLane:
         assert engine.observer_events == 1
         assert engine.stats()["events"] == 2
 
-    @pytest.mark.parametrize("engine_cls", [Engine, CalendarEngine])
+    @pytest.mark.parametrize("engine_cls", [Engine])
     def test_pending_sim_events_ignores_observers(self, engine_cls):
         engine = engine_cls()
         engine.schedule(5, lambda: None)
@@ -359,7 +358,7 @@ class TestExecutorProgress:
 
 
 class TestDeadRunTermination:
-    @pytest.mark.parametrize("engine_cls", [Engine, CalendarEngine])
+    @pytest.mark.parametrize("engine_cls", [Engine])
     def test_sampler_does_not_keep_dead_engine_alive(self, engine_cls):
         # an engine whose simulation work runs dry must still terminate
         # with a sampler attached: the sampler refuses to re-arm when only

@@ -176,8 +176,10 @@ def test_mshr_tracks_distinct_outstanding_lines(ops):
     )
 )
 def test_store_buffer_occupancy_and_ack_discipline(ops):
+    # Acked entries are pooled and re-armed by later stores, so the issue
+    # order is recorded by sequence number at issue time, not by reference.
     issued = []
-    sb = StoreBuffer(capacity=4, issue_fn=issued.append)
+    sb = StoreBuffer(capacity=4, issue_fn=lambda e: issued.append(e.seq))
     in_flight = []
     for op, line in ops:
         if op == "write" and sb.can_accept(line):
@@ -191,8 +193,7 @@ def test_store_buffer_occupancy_and_ack_discipline(ops):
             sb.ack(entry.line, seq=entry.seq)
         assert sb.occupancy <= 4
     # Everything issued was issued exactly once, in seq order.
-    seqs = [e.seq for e in issued]
-    assert seqs == sorted(seqs)
+    assert issued == sorted(set(issued))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=20))

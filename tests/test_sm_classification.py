@@ -6,6 +6,8 @@ is built to make one stall class dominate, so a classification regression
 shows up as the wrong dominant cause.
 """
 
+import json
+
 import pytest
 
 from repro.core.stall_types import MemStructCause, ServiceLocation, StallType
@@ -13,6 +15,7 @@ from repro.gpu.instruction import Instruction
 from repro.gpu.kernel import uniform_grid
 from repro.sim.config import SystemConfig
 from repro.system import System, run_workload
+from repro.workloads import make_workload
 from repro.workloads.synthetic import (
     BurstStoreWorkload,
     ComputeHeavyWorkload,
@@ -161,3 +164,29 @@ class TestGsiDisabled:
             SystemConfig(num_sms=2, gsi_enabled=False), StreamingWorkload()
         )
         assert on.cycles == off.cycles
+
+    @pytest.mark.parametrize("core", ["python", "fast"])
+    @pytest.mark.parametrize(
+        "workload, args",
+        [
+            ("uts", {"total_nodes": 20}),
+            ("implicit_dma", {"num_tbs": 2, "warps_per_tb": 4}),
+            ("lock_contention", {}),
+        ],
+        ids=["uts", "implicit_dma", "lock_contention"],
+    )
+    def test_disabled_leaves_every_stat_identical(self, core, workload, args):
+        """GSI is observational on every path -- UTS queues, the scratchpad
+        and DMA engine, lock atomics: turning it off leaves the cycle count
+        and every statistic of the machine byte-identical."""
+        runs = [
+            run_workload(
+                SystemConfig(core=core, num_sms=4, gsi_enabled=enabled),
+                make_workload(workload, **args),
+            )
+            for enabled in (True, False)
+        ]
+        on, off = runs
+        assert off.cycles == on.cycles
+        assert json.dumps(off.stats, sort_keys=True) == json.dumps(on.stats, sort_keys=True)
+        assert off.stats_tree.flatten() == on.stats_tree.flatten()
