@@ -71,6 +71,7 @@ class Lsu(Component):
         self.scratchpad = scratchpad
         self.dma = dma
         self.stash = stash
+        self._line_shift = config.offset_bits
         self.busy_until = 0
         self.release_active = False
         #: trace capture point at the LSU->L1 boundary: when a
@@ -94,10 +95,8 @@ class Lsu(Component):
     # ------------------------------------------------------------------
     def lines_of(self, instr: Instruction) -> list[int]:
         """Distinct cache lines touched, in first-lane order (coalescing)."""
-        seen: dict[int, None] = {}
-        for a in instr.addrs:
-            seen.setdefault(self.config.line_of(a), None)
-        return list(seen)
+        shift = self._line_shift
+        return list(dict.fromkeys([a >> shift for a in instr.addrs]))
 
     def l1_bank_conflict_degree(self, lines: list[int]) -> int:
         counts: dict[int, int] = {}
@@ -170,23 +169,26 @@ class Lsu(Component):
         return None
 
     def _check_stash(self, instr: Instruction) -> MemStructCause | None:
-        assert self.stash is not None, "stash instruction without a stash"
+        stash = self.stash
+        assert stash is not None, "stash instruction without a stash"
         if instr.op is Op.LOAD:
-            need = self.stash.fills_needed(list(instr.addrs))
-            if need > self.l1.mshr.capacity - self.l1.mshr.occupancy:
-                self.l1.mshr.note_rejection()
+            mshr = self.l1.mshr
+            if stash.fills_needed(instr.addrs) > mshr.capacity - mshr.occupancy:
+                mshr.note_rejection()
                 return self._reject(MemStructCause.MSHR_FULL)
             return None
         # Stash store: dirtying a clean line needs a store-buffer slot for
         # the DeNovo registration request (aggregate admission).
         glines: list[int] = []
         seen: set[int] = set()
+        shift = self._line_shift
         for a in instr.addrs:
-            lline = self.stash.local_line(a)
-            if lline in seen or self.stash.is_dirty(a):
+            lline = a >> shift
+            if lline in seen:
                 continue
             seen.add(lline)
-            glines.append(self.stash.global_line_of(a))
+            if not stash.is_dirty(a):
+                glines.append(stash.global_line_of(a))
         if glines and not self.l1.can_accept_stores(glines):
             self.l1.store_buffer.full_rejections += 1
             return self._reject(MemStructCause.STORE_BUFFER_FULL)

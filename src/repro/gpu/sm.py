@@ -303,7 +303,8 @@ class SM(Component):
         if instr.space is Space.GLOBAL:
             self._issue_global_load(warp, instr, now)
         elif instr.space is Space.SCRATCH:
-            self._issue_scratch_load(warp, instr, now)
+            assert self.scratchpad is not None, "scratch load without a scratchpad"
+            self._issue_local_load(warp, instr, now, self.scratchpad)
         else:
             self._issue_stash_load(warp, instr, now)
 
@@ -315,13 +316,7 @@ class SM(Component):
         sink = self.lsu.trace_sink
         if sink is not None:
             sink.load(now, warp.ctx.warp_id, group.tag, lines)
-        if instr.dst is not None:
-            warp.scoreboard.set_memory(instr.dst, group.tag)
-        if instr.returns_value:
-            warp.waiting_value = True
-            warp.value_producer = ("mem", group.tag)
-        else:
-            self._advance(warp, None)
+        self._await_memory(warp, instr, group.tag)
         if len(lines) <= self.l1.mshr.capacity:
             for line in lines:
                 self.l1.load_line(
@@ -398,11 +393,18 @@ class SM(Component):
         assert self.stash is not None
         return self.stash.storage.load_word(addr)
 
-    def _issue_scratch_load(self, warp: Warp, instr: Instruction, now: int) -> None:
-        assert self.scratchpad is not None, "scratch load without a scratchpad"
-        cycles = self.scratchpad.access_cycles(list(instr.addrs))
+    def _issue_local_load(
+        self, warp: Warp, instr: Instruction, now: int, storage: "Scratchpad"
+    ) -> None:
+        """A load ``storage`` serves after its bank-conflict serialization."""
+        cycles = storage.access_cycles(instr.addrs)
         self.lsu.occupy(now, cycles - 1)
         tag = _next_tag()
+        self._await_memory(warp, instr, tag)
+        self.engine.schedule(cycles, lambda: self._local_load_done(warp, instr, tag))
+
+    def _await_memory(self, warp: Warp, instr: Instruction, tag: int) -> None:
+        """Make ``instr``'s register and value wait on memory tag ``tag``."""
         if instr.dst is not None:
             warp.scoreboard.set_memory(instr.dst, tag)
         if instr.returns_value:
@@ -410,9 +412,6 @@ class SM(Component):
             warp.value_producer = ("mem", tag)
         else:
             self._advance(warp, None)
-        self.engine.schedule(
-            cycles, lambda: self._local_load_done(warp, instr, tag)
-        )
 
     def _local_load_done(self, warp: Warp, instr: Instruction, tag: int) -> None:
         self.wake()
@@ -424,33 +423,18 @@ class SM(Component):
             self._advance(warp, self._read_value(instr))
 
     def _issue_stash_load(self, warp: Warp, instr: Instruction, now: int) -> None:
-        assert self.stash is not None, "stash load without a stash"
         stash = self.stash
+        assert stash is not None, "stash load without a stash"
+        local_line = stash.local_line
         local_lines: dict[int, int] = {}
         for a in instr.addrs:
-            local_lines.setdefault(stash.local_line(a), a)
-        if all(stash.is_present(a) for a in instr.addrs):
-            cycles = stash.storage.access_cycles(list(instr.addrs))
-            self.lsu.occupy(now, cycles - 1)
-            tag = _next_tag()
-            if instr.dst is not None:
-                warp.scoreboard.set_memory(instr.dst, tag)
-            if instr.returns_value:
-                warp.waiting_value = True
-                warp.value_producer = ("mem", tag)
-            else:
-                self._advance(warp, None)
-            self.engine.schedule(cycles, lambda: self._local_load_done(warp, instr, tag))
+            local_lines.setdefault(local_line(a), a)
+        if all(stash.is_present(a) for a in local_lines.values()):
+            self._issue_local_load(warp, instr, now, stash.storage)
             return
         group = AccessGroup(tag=_next_tag(), remaining=len(local_lines))
-        if instr.dst is not None:
-            warp.scoreboard.set_memory(instr.dst, group.tag)
-        if instr.returns_value:
-            warp.waiting_value = True
-            warp.value_producer = ("mem", group.tag)
-        else:
-            self._advance(warp, None)
-        for _lline, addr in local_lines.items():
+        self._await_memory(warp, instr, group.tag)
+        for addr in local_lines.values():
             stash.access_load(
                 addr,
                 lambda loc, g=group, w=warp, i=instr: self._group_line_done(w, i, g, loc),
@@ -473,7 +457,7 @@ class SM(Component):
             assert self.scratchpad is not None
             if value is not None:
                 self.scratchpad.store_word(instr.addrs[0], value)
-            cycles = self.scratchpad.access_cycles(list(instr.addrs))
+            cycles = self.scratchpad.access_cycles(instr.addrs)
             self.lsu.occupy(now, cycles - 1)
         else:
             self._issue_stash_store(warp, instr, now, value)
@@ -482,15 +466,16 @@ class SM(Component):
     def _issue_stash_store(
         self, warp: Warp, instr: Instruction, now: int, value: int | None
     ) -> None:
-        assert self.stash is not None
         stash = self.stash
+        assert stash is not None
         if value is not None:
             stash.storage.store_word(instr.addrs[0], value)
-        cycles = stash.storage.access_cycles(list(instr.addrs))
+        cycles = stash.storage.access_cycles(instr.addrs)
         self.lsu.occupy(now, cycles - 1)
         seen: set[int] = set()
+        local_line = stash.local_line
         for a in instr.addrs:
-            lline = stash.local_line(a)
+            lline = local_line(a)
             if lline in seen:
                 continue
             seen.add(lline)

@@ -62,6 +62,9 @@ class DmaEngine(Component):
         #: ``l2_access_latency`` on the default shape; an explicit spec may
         #: retune the level and the DMA must see the same machine)
         self._l2_latency = config.effective_hierarchy().directory_level.hit_latency
+        self._line_shift = config.offset_bits
+        self._interval = config.dma_issue_interval
+        self._mshr = l1.mshr
         self._transfers: list[DmaTransfer] = []
         self._pump_scheduled = False
         # Refill a freed MSHR entry in the same event window, before the SM
@@ -97,78 +100,80 @@ class DmaEngine(Component):
         return False
 
     def _refill_hook(self) -> None:
-        if any(t.to_scratch and not t.issued_all for t in self._transfers):
-            self._pump()
+        for t in self._transfers:
+            if t.to_scratch and not t.issued_all:
+                self._pump()
+                return
 
     # ------------------------------------------------------------------
     def _schedule_pump(self) -> None:
         if self._pump_scheduled:
             return
         self._pump_scheduled = True
-        self.engine.schedule(self.config.dma_issue_interval, self._pump)
+        self.engine.schedule(self._interval, self._pump)
 
     def _pump(self) -> None:
+        # The throttled poll is the hottest event of the implicit workloads.
+        # It stays one event per retry (the event count is part of every
+        # result), so each call must be cheap.
         self._pump_scheduled = False
-        transfer = next((t for t in self._transfers if not t.issued_all), None)
-        if transfer is None:
+        for transfer in self._transfers:
+            if not transfer.issued_all:
+                break
+        else:
             return
-        line_size = self.config.line_size
+        offset = transfer.next_offset
+        gline = (transfer.global_base + offset) >> self._line_shift
+        mshr = self._mshr
+        if transfer.to_scratch and mshr.is_full() and mshr.lookup(gline) is None:
+            # Throttled by MSHR capacity: retry next cycle.  This is the
+            # mechanism that converts a small MSHR into "full MSHR" stalls
+            # for the whole core under scratchpad+DMA.
+            self.mshr_stall_cycles.value += 1
+            self._pump_scheduled = True
+            self.engine.schedule(self._interval, self._pump)
+            return
+        transfer.outstanding += 1
+        transfer.next_offset = offset + self.config.line_size
+        if transfer.next_offset >= transfer.size:
+            transfer.issued_all = True
         if transfer.to_scratch:
-            if not self.l1.mshr_can_allocate(
-                self.config.line_of(transfer.global_base + transfer.next_offset)
-            ):
-                # Throttled by MSHR capacity: retry next cycle.  This is the
-                # mechanism that converts a small MSHR into "full MSHR"
-                # stalls for the whole core under scratchpad+DMA.
-                self.mshr_stall_cycles += 1
-                self._schedule_pump()
-                return
-            offset = transfer.next_offset
-            gline = self.config.line_of(transfer.global_base + offset)
-            transfer.outstanding += 1
-            transfer.next_offset += line_size
-            if transfer.next_offset >= transfer.size:
-                transfer.issued_all = True
             self.l1.load_line(
                 gline,
                 lambda loc, rid, t=transfer, off=offset: self._load_done(t, off),
                 bypass_l1=True,
             )
         else:
-            offset = transfer.next_offset
-            transfer.outstanding += 1
-            transfer.next_offset += line_size
-            if transfer.next_offset >= transfer.size:
-                transfer.issued_all = True
-            self._issue_store(transfer, offset)
+            self._issue_store(transfer, offset, gline)
         if any(not t.issued_all for t in self._transfers):
             self._schedule_pump()
 
     def _load_done(self, transfer: DmaTransfer, offset: int) -> None:
         # Functional copy: move one line of words global -> scratchpad.
-        for w in range(0, min(self.config.line_size, transfer.size - offset), 4):
-            value = self.l1.memory.load_word(transfer.global_base + offset + w)
-            self.scratchpad.store_word(transfer.scratch_base + offset + w, value)
-        self.lines_loaded += 1
-        transfer.outstanding -= 1
-        self._maybe_finish(transfer)
+        load = self.l1.memory.load_word
+        delta = transfer.global_base - transfer.scratch_base
+        base = transfer.scratch_base + offset
+        addrs = range(base, base + min(self.config.line_size, transfer.size - offset), 4)
+        self.scratchpad.store_words(addrs, [load(a + delta) for a in addrs])
+        self.lines_loaded.value += 1
+        self._line_done(transfer)
 
-    def _issue_store(self, transfer: DmaTransfer, offset: int) -> None:
+    def _issue_store(self, transfer: DmaTransfer, offset: int, gline: int) -> None:
         # Functional copy scratch -> global at issue, then a write-through
         # message carries it to the L2 (DMA stores bypass the store buffer).
-        for w in range(0, min(self.config.line_size, transfer.size - offset), 4):
-            value = self.scratchpad.load_word(transfer.scratch_base + offset + w)
-            self.l1.memory.store_word(transfer.global_base + offset + w, value)
-        gline = self.config.line_of(transfer.global_base + offset)
-        req_id = next_request_id()
-        self._store_acks = getattr(self, "_store_acks", {})
+        store = self.l1.memory.store_word
+        delta = transfer.global_base - transfer.scratch_base
+        base = transfer.scratch_base + offset
+        addrs = range(base, base + min(self.config.line_size, transfer.size - offset), 4)
+        for a, value in zip(addrs, self.scratchpad.load_words(addrs)):
+            store(a + delta, value)
         self.l1.mesh.send(
             Message(
                 mtype=MsgType.PUT_WT,
                 src=self.l1.node,
                 dst=self.l1.l2_node_of_line(gline),
                 line=gline,
-                req_id=req_id,
+                req_id=next_request_id(),
                 meta=("dma", id(transfer)),
             )
         )
@@ -176,14 +181,11 @@ class DmaEngine(Component):
         # after the round trip by registering a waiter on the engine clock.
         rtt = 2 * self.l1.mesh.hops(self.l1.node, self.l1.l2_node_of_line(gline))
         delay = rtt * self.config.hop_latency + self._l2_latency + 2
-        self.lines_stored += 1
-        self.engine.schedule(delay, lambda t=transfer: self._store_done(t))
+        self.lines_stored.value += 1
+        self.engine.schedule(delay, lambda t=transfer: self._line_done(t))
 
-    def _store_done(self, transfer: DmaTransfer) -> None:
+    def _line_done(self, transfer: DmaTransfer) -> None:
         transfer.outstanding -= 1
-        self._maybe_finish(transfer)
-
-    def _maybe_finish(self, transfer: DmaTransfer) -> None:
         if transfer.done():
             self._transfers.remove(transfer)
             if transfer.on_done is not None:

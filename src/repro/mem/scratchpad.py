@@ -12,6 +12,8 @@ what the "bank conflict" memory structural stall sub-class measures.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.component import Component
 
 
@@ -36,17 +38,18 @@ class Scratchpad(Component):
     def bank_of(self, addr: int) -> int:
         return (addr // self.WORD) % self.banks
 
-    def conflict_degree(self, addrs: list[int]) -> int:
+    def conflict_degree(self, addrs: Sequence[int]) -> int:
         """Max accesses landing in one bank (1 = conflict free)."""
         if not addrs:
             return 1
         counts: dict[int, int] = {}
+        word, banks, get = self.WORD, self.banks, counts.get
         for a in addrs:
-            b = self.bank_of(a)
-            counts[b] = counts.get(b, 0) + 1
+            b = (a // word) % banks
+            counts[b] = get(b, 0) + 1
         return max(counts.values())
 
-    def access_cycles(self, addrs: list[int]) -> int:
+    def access_cycles(self, addrs: Sequence[int]) -> int:
         """Cycles the access occupies a scratchpad port (serialization)."""
         degree = self.conflict_degree(addrs)
         self.accesses.value += 1
@@ -62,6 +65,18 @@ class Scratchpad(Component):
         self._check(addr)
         self._words[addr & ~0x3] = value
 
-    def _check(self, addr: int) -> None:
-        if not 0 <= addr < self.size:
-            raise ValueError("scratchpad address %#x out of range" % addr)
+    # Line copies: ``addrs`` ascend, so range-checking the two ends checks
+    # every word between them.
+    def load_words(self, addrs: Sequence[int]) -> list[int]:
+        self._check(*addrs[:1], *addrs[-1:])
+        get = self._words.get
+        return [get(a & ~0x3, 0) for a in addrs]
+
+    def store_words(self, addrs: Sequence[int], values: Sequence[int]) -> None:
+        self._check(*addrs[:1], *addrs[-1:])
+        self._words.update(zip([a & ~0x3 for a in addrs], values))
+
+    def _check(self, *addrs: int) -> None:
+        for addr in addrs:
+            if not 0 <= addr < self.size:
+                raise ValueError("scratchpad address %#x out of range" % addr)

@@ -18,7 +18,7 @@ grows (Section 6.2.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.component import Component
 from repro.core.stall_types import ServiceLocation
@@ -58,6 +58,7 @@ class Stash(Component):
         self.engine = engine
         self.l1 = l1
         self.storage = storage
+        self._shift = config.offset_bits
         self._mappings: list[StashMapping] = []
         #: local line index -> present
         self._valid: set[int] = set()
@@ -79,47 +80,35 @@ class Stash(Component):
 
     def mapping_for(self, scratch_addr: int) -> StashMapping:
         for m in self._mappings:
-            if m.contains(scratch_addr):
+            if m.scratch_base <= scratch_addr < m.scratch_base + m.size:
                 return m
         raise KeyError("stash address %#x is not mapped" % scratch_addr)
 
-    # Backwards-compatible internal alias.
-    _mapping_for = mapping_for
-
     def local_line(self, scratch_addr: int) -> int:
-        return scratch_addr >> self.config.offset_bits
+        return scratch_addr >> self._shift
 
     def is_dirty(self, scratch_addr: int) -> bool:
         return self.local_line(scratch_addr) in self._dirty
 
     def global_line_of(self, scratch_addr: int) -> int:
-        return self.config.line_of(self.mapping_for(scratch_addr).to_global(scratch_addr))
+        return self.mapping_for(scratch_addr).to_global(scratch_addr) >> self._shift
 
     # ------------------------------------------------------------------
     def is_present(self, scratch_addr: int) -> bool:
         return self.local_line(scratch_addr) in self._valid
 
-    def is_filling(self, scratch_addr: int) -> bool:
-        return self.local_line(scratch_addr) in self._filling
-
-    def can_fill(self, scratch_addr: int) -> bool:
-        """Is there MSHR room to generate the global request?"""
-        if self.is_present(scratch_addr) or self.is_filling(scratch_addr):
-            return True
-        gline = self.global_line_of(scratch_addr)
-        return self.l1.mshr_can_allocate(gline)
-
-    def fills_needed(self, addrs: list[int]) -> int:
+    def fills_needed(self, addrs: Sequence[int]) -> int:
         """Fresh MSHR allocations a load of ``addrs`` would trigger."""
         need = 0
         seen: set[int] = set()
+        shift, valid, filling = self._shift, self._valid, self._filling
+        lookup = self.l1.mshr.lookup
         for a in addrs:
-            lline = self.local_line(a)
-            if lline in seen or lline in self._valid or lline in self._filling:
+            lline = a >> shift
+            if lline in seen or lline in valid or lline in filling:
                 continue
             seen.add(lline)
-            gline = self.global_line_of(a)
-            if self.l1.mshr.lookup(gline) is None:
+            if lookup(self.global_line_of(a)) is None:
                 need += 1
         return need
 
@@ -141,8 +130,8 @@ class Stash(Component):
             # Another lane/warp already generated the request; coalesce.
             self._filling[lline].append(on_done)
             return
-        mapping = self._mapping_for(scratch_addr)
-        gline = self.config.line_of(mapping.to_global(scratch_addr))
+        mapping = self.mapping_for(scratch_addr)
+        gline = mapping.to_global(scratch_addr) >> self._shift
         self._filling[lline] = [on_done]
         self.l1.load_line(
             gline,
@@ -154,11 +143,10 @@ class Stash(Component):
         self, lline: int, mapping: StashMapping, loc: ServiceLocation
     ) -> None:
         # Functional copy: one line global -> stash storage.
-        base = lline << self.config.offset_bits
-        for w in range(0, self.config.line_size, 4):
-            saddr = base + w
-            if mapping.contains(saddr):
-                self.storage.store_word(saddr, self.l1.memory.load_word(mapping.to_global(saddr)))
+        load = self.l1.memory.load_word
+        delta = mapping.global_base - mapping.scratch_base
+        addrs = self._mapped_words(lline, mapping)
+        self.storage.store_words(addrs, [load(a + delta) for a in addrs])
         self._valid.add(lline)
         self.fills.value += 1
         for cb in self._filling.pop(lline, []):
@@ -183,7 +171,7 @@ class Stash(Component):
         for lline in range(first, last + 1):
             if lline in self._dirty:
                 self._dirty.discard(lline)
-                base = lline << self.config.offset_bits
+                base = lline << self._shift
                 mapping = next((m for m in self._mappings if m.contains(base)), None)
                 if mapping is not None:
                     self._wb_queue.append((lline, mapping))
@@ -215,21 +203,27 @@ class Stash(Component):
         if not self._wb_queue:
             return
         lline, mapping = self._wb_queue[0]
-        base = lline << self.config.offset_bits
-        gline = self.config.line_of(mapping.to_global(base))
+        gline = mapping.to_global(lline << self._shift) >> self._shift
         if not self.l1.can_accept_store(gline):
             # Store buffer full: retry; running warps see SB-full pressure.
             self._schedule_wb()
             return
         self._wb_queue.pop(0)
         # Functional copy stash -> global, then the timing write.
-        for w in range(0, self.config.line_size, 4):
-            saddr = base + w
-            if mapping.contains(saddr):
-                self.l1.memory.store_word(mapping.to_global(saddr), self.storage.load_word(saddr))
+        store = self.l1.memory.store_word
+        delta = mapping.global_base - mapping.scratch_base
+        addrs = self._mapped_words(lline, mapping)
+        for a, value in zip(addrs, self.storage.load_words(addrs)):
+            store(a + delta, value)
         self.l1.store_line(gline)
         self.writebacks.value += 1
         self._schedule_wb()
+
+    def _mapped_words(self, lline: int, mapping: StashMapping) -> list[int]:
+        """Word addresses of local line ``lline`` that ``mapping`` covers."""
+        base = lline << self._shift
+        lo, hi = mapping.scratch_base, mapping.scratch_base + mapping.size
+        return [a for a in range(base, base + self.config.line_size, 4) if lo <= a < hi]
 
     def writeback_idle(self) -> bool:
         return not self._wb_queue

@@ -98,6 +98,18 @@ def load_corpus(path: str = CORPUS_PATH) -> dict:
         return json.load(fh)["scenarios"]
 
 
+def describe_change(name: str, old: dict | None, new: dict | None) -> str:
+    """One line naming what moved in a changed corpus entry."""
+    if old is None or new is None:
+        return "changed: %s (%s)" % (
+            name, "not in the corpus" if old is None else "no longer simulated")
+    moved = ["%s %d -> %d" % (key, old[key], new[key])
+             for key in ("cycles", "engine_events")]
+    differs = [key for key in ("result_sha256", "stats_tree_sha256")
+               if old[key] != new[key]]
+    return "changed: %s: %s; differs: %s" % (name, ", ".join(moved), ", ".join(differs))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group()
@@ -118,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         if old is not None and old.get(name) != fresh.get(name)
     )
     for name in changed:
-        print("changed: %s" % name, file=sys.stderr)
+        print(describe_change(name, old.get(name), fresh.get(name)), file=sys.stderr)
     if args.check:
         if old is None:
             print("no corpus at %s" % CORPUS_PATH, file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.core_digests import SCENARIOS, digest, load_corpus, simulate
+from tests.core_digests import SCENARIOS, describe_change, digest, load_corpus, simulate
 
 CORPUS = load_corpus()
 
@@ -43,3 +43,15 @@ def test_fast_core_matches_python_oracle(scenario) -> None:
     fast_dict, fast_tree = outcome["fast"]
     assert fast_dict == py_dict, "serialized SimResult diverged between cores"
     assert fast_tree == py_tree, "component stats tree diverged between cores"
+
+
+def test_a_changed_entry_names_what_moved() -> None:
+    old = {"cycles": 100, "engine_events": 534172,
+           "result_sha256": "a", "stats_tree_sha256": "b"}
+    new = dict(old, engine_events=534170, stats_tree_sha256="c")
+    assert describe_change("fig6.3/x", old, new) == (
+        "changed: fig6.3/x: cycles 100 -> 100, engine_events 534172 -> 534170;"
+        " differs: stats_tree_sha256"
+    )
+    assert describe_change("fig6.3/x", None, new) == "changed: fig6.3/x (not in the corpus)"
+    assert describe_change("fig6.3/x", old, None) == "changed: fig6.3/x (no longer simulated)"

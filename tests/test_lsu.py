@@ -33,6 +33,9 @@ class TestAddressHelpers:
         _, lsu = make_lsu()
         instr = Instruction.load([0x100, 0x104, 0x140, 0x108])
         assert lsu.lines_of(instr) == [0x100 >> 6, 0x140 >> 6]
+        # first-lane order, not sorted order; repeats after a gap collapse
+        instr = Instruction.load([0x1C0, 0x100, 0x1C4, 0x140, 0x104, 0x1C8])
+        assert lsu.lines_of(instr) == [0x1C0 >> 6, 0x100 >> 6, 0x140 >> 6]
 
     def test_bank_conflict_degree(self):
         _, lsu = make_lsu()

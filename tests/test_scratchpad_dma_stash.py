@@ -1,5 +1,7 @@
 """Unit tests for the local-memory structures: scratchpad, DMA engine, stash."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.stall_types import ServiceLocation
@@ -97,6 +99,42 @@ class TestDmaEngine:
         assert dma.mshr_stall_cycles > 0
         assert dma.lines_loaded == 16
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="each MSHR refill starts one more throttled polling chain, "
+        "so mshr_stall_cycles counts polls, not cycles",
+    )
+    def test_throttled_dma_polls_once_per_cycle(self):
+        cfg = SystemConfig(mshr_entries=2)
+        sys, pad = make_local_setup(cfg)
+        dma = DmaEngine(cfg, sys.engine, sys.l1s[0], pad)
+        pump, pumps = dma._pump, Counter()
+
+        def counted_pump():
+            pumps[sys.engine.now] += 1
+            pump()
+
+        dma._pump = counted_pump
+        dma.start(
+            DmaTransfer(global_base=0x1000, scratch_base=0, size=1024, to_scratch=True)
+        )
+        sys.engine.run()
+        assert dma.mshr_stall_cycles <= sys.engine.now
+        assert max(pumps.values()) == 1
+
+    @pytest.mark.parametrize("to_scratch", [True, False], ids=["inbound", "outbound"])
+    def test_copy_past_the_scratchpad_end_is_rejected(self, to_scratch):
+        sys, pad = make_local_setup()
+        dma = DmaEngine(sys.config, sys.engine, sys.l1s[0], pad)
+        # the first line copy straddles the end: its first word is in range
+        dma.start(
+            DmaTransfer(global_base=0x1000, scratch_base=pad.size - 32, size=128,
+                        to_scratch=to_scratch)
+        )
+        with pytest.raises(ValueError, match="out of range"):
+            sys.engine.run()
+        assert dma.lines_loaded == dma.lines_stored == 0  # refused at the first line
+
     def test_outbound_transfer_writes_global(self):
         sys, pad = make_local_setup()
         for off in range(0, 128, 4):
@@ -142,6 +180,17 @@ class TestStash:
         _, stash = self.make_stash()
         with pytest.raises(KeyError):
             stash.mapping_for(0x100)
+        stash.map_region(0, 0x5000, 256)
+        with pytest.raises(KeyError):
+            stash.mapping_for(256)
+
+    def test_mapping_for_returns_the_first_match(self):
+        _, stash = self.make_stash()
+        stash.map_region(0, 0x5000, 1024)
+        stash.map_region(512, 0x9000, 1024)  # overlaps the first
+        assert stash.mapping_for(600).global_base == 0x5000
+        assert stash.mapping_for(1023).global_base == 0x5000
+        assert stash.mapping_for(1024).global_base == 0x9000
 
     def test_first_load_fills_from_global(self):
         sys, stash = self.make_stash()
@@ -222,6 +271,29 @@ class TestStash:
         got = []
         stash.access_load(0, got.append)
         assert stash.fills_needed(addrs) == 2  # line 0 now filling
+
+    def test_fills_needed_skips_valid_filling_and_merging_lines(self):
+        sys, stash = self.make_stash()
+        stash.map_region(0, 0x5000, 1024)
+        stash.access_load(0, lambda loc: None)
+        sys.engine.run()  # local line 0 valid
+        stash.access_load(64, lambda loc: None)  # local line 1 filling
+        # local line 2's global line is already in flight in the L1's MSHR
+        sys.l1s[0].load_line(stash.global_line_of(128), lambda loc, rid: None)
+        assert stash.fills_needed([0, 4, 64, 68, 128, 132]) == 0
+        assert stash.fills_needed([192, 0, 196, 64, 128, 256]) == 2
+        # remapped while filling: the line still waits on its old fill
+        stash.release_region(0, 1024)
+        stash.map_region(0, 0x9000, 1024)
+        assert stash.fills_needed([64]) == 0
+
+    def test_fill_past_the_scratchpad_end_is_rejected(self):
+        sys, stash = self.make_stash()
+        end = stash.storage.size
+        stash.map_region(end - 64, 0x5000, 128)
+        stash.access_load(end, lambda loc: None)
+        with pytest.raises(ValueError, match="out of range"):
+            sys.engine.run()
 
     def test_global_line_of_translates(self):
         sys, stash = self.make_stash()
