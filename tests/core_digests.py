@@ -4,9 +4,12 @@
     PYTHONPATH=src python tests/core_digests.py           # write a missing corpus
     PYTHONPATH=src python tests/core_digests.py --force   # overwrite a changed one
 
-Covers the fig6.x scenario grids at their ``--fast`` sizes plus the five
-fleet workloads at their campaign fast sizes.  For each scenario the
-corpus (``core_digests.json`` next to this file) records:
+Covers the fig6.x scenario grids at their ``--fast`` sizes, the five
+fleet workloads at their campaign fast sizes, and the fig6.1/fig6.2
+gpu-coh cells down the branches of the SM tick the default configuration
+never takes (the ``strong``/``first`` attribution policies, the GTO warp
+scheduler, a windowed timeline, a trace recording).  For each scenario
+the corpus (``core_digests.json`` next to this file) records:
 
 * ``result_sha256`` -- SHA-256 of ``SimResult.to_dict()`` as canonical
   JSON (the serialized artifact: cycles, breakdowns, frozen stats);
@@ -14,7 +17,11 @@ corpus (``core_digests.json`` next to this file) records:
   in snapshot order (every counter, histogram and derived stat of every
   component, so it also pins parts no figure renders);
 * ``cycles`` and ``engine_events``, readable at a glance when a digest
-  moves.
+  moves;
+* ``timeline_sha256`` (timeline scenarios) -- SHA-256 of the rendered
+  ASCII timeline, which ``to_dict()`` leaves out;
+* ``trace_sha256`` (recorded scenarios) -- SHA-256 of the saved
+  ``.gsitrace`` file's bytes.
 
 The scenarios run on the core ``REPRO_CORE`` selects, so ``--check`` under
 each value of ``REPRO_CORE`` checks each SM frontend.  Regenerate only at a
@@ -30,11 +37,14 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
+from repro.core.timeline import render_timeline
 from repro.experiments.campaign import DEFAULT_FLEET
 from repro.experiments.figures import _implicit_grid, _uts_protocol_grid
 from repro.experiments.spec import Scenario, Sweep
 from repro.system import SimResult, run_workload
+from repro.trace import record_workload, save_trace
 
 CORPUS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "core_digests.json")
 
@@ -68,7 +78,32 @@ def _fleet_fast_scenarios() -> list[Scenario]:
     ]
 
 
-SCENARIOS = _fig6x_fast_scenarios() + _fleet_fast_scenarios()
+def _frontend_scenarios() -> list[Scenario]:
+    """The fig6.1/fig6.2 fast-size gpu-coh cells under the configurations
+    whose SM tick differs from the default one: the ablation attribution
+    policies, the GTO scheduler, an ASCII timeline and a trace tap."""
+    uts = _uts_protocol_grid("uts", 60, 4)[0]
+    utsd = _uts_protocol_grid("utsd", 60, 4)[0]
+
+    def variant(base: Scenario, figure: str, suffix: str, **config) -> Scenario:
+        return Scenario("%s/%s+%s" % (figure, base.name, suffix), base.workload,
+                        dict(base.workload_args), dict(base.config, **config))
+
+    return [
+        variant(uts, "fig6.1", "strong", attribution_policy="strong"),
+        variant(uts, "fig6.1", "first", attribution_policy="first"),
+        variant(uts, "fig6.1", "gto", warp_scheduler="gto"),
+        variant(utsd, "fig6.2", "timeline", timeline_window=TIMELINE_WINDOW),
+        variant(uts, "fig6.1", "recorded"),
+    ]
+
+
+#: window (cycles) of the timeline scenario; the CLI's ``--timeline 512``
+TIMELINE_WINDOW = 512
+#: scenarios run through the trace recorder
+RECORDED = frozenset({"fig6.1/gpu-coh+recorded"})
+
+SCENARIOS = _fig6x_fast_scenarios() + _fleet_fast_scenarios() + _frontend_scenarios()
 
 
 def _sha256(obj) -> str:
@@ -88,9 +123,26 @@ def digest(result: SimResult) -> dict:
     }
 
 
-def simulate(scenario: Scenario, core: str = "auto") -> SimResult:
+def simulate(scenario: Scenario, core: str = "auto") -> tuple[SimResult, dict]:
+    """Run ``scenario``; return its result and its corpus entry."""
     config = scenario.build_config().scaled(core=core)
-    return run_workload(config, scenario.build_workload())
+    workload = scenario.build_workload()
+    if scenario.name not in RECORDED:
+        result = run_workload(config, workload)
+        entry = digest(result)
+    else:
+        result, trace = record_workload(config, workload, name=scenario.workload,
+                                        workload_args=scenario.workload_args)
+        entry = digest(result)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.gsitrace")
+            save_trace(trace, path)
+            with open(path, "rb") as fh:
+                entry["trace_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    if result.timeline is not None:
+        entry["timeline_sha256"] = hashlib.sha256(
+            render_timeline(result.timeline).encode("utf-8")).hexdigest()
+    return result, entry
 
 
 def load_corpus(path: str = CORPUS_PATH) -> dict:
@@ -105,8 +157,8 @@ def describe_change(name: str, old: dict | None, new: dict | None) -> str:
             name, "not in the corpus" if old is None else "no longer simulated")
     moved = ["%s %d -> %d" % (key, old[key], new[key])
              for key in ("cycles", "engine_events")]
-    differs = [key for key in ("result_sha256", "stats_tree_sha256")
-               if old[key] != new[key]]
+    differs = [key for key in sorted(set(old) | set(new))
+               if key.endswith("_sha256") and old.get(key) != new.get(key)]
     return "changed: %s: %s; differs: %s" % (name, ", ".join(moved), ", ".join(differs))
 
 
@@ -121,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
 
     fresh = {}
     for scenario in SCENARIOS:
-        fresh[scenario.name] = entry = digest(simulate(scenario))
+        _, entry = simulate(scenario)
+        fresh[scenario.name] = entry
         print("%-40s %8d cycles %9d events" % (
             scenario.name, entry["cycles"], entry["engine_events"]))
     old = load_corpus() if os.path.exists(CORPUS_PATH) else None
