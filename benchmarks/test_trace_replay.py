@@ -1,11 +1,14 @@
-"""Trace replay speedup: record fig 6.1's UTS run once, replay it.
+"""Trace replay: record fig 6.1's UTS run once, replay it.
 
 The replay must reproduce the execution-driven run's memory-side statistics
-*exactly* and run at least 3x faster (it skips the GPU compute frontend and
-simulates only the memory hierarchy).  Both the execution-driven scenario
-and the replay go through the scenario executor, so the session's
-``BENCH_engine.json`` perf-trajectory artifact carries a wall-clock row for
-each -- the speedup is the ratio of the two rows.
+*exactly* (it skips the GPU compute frontend and simulates only the memory
+hierarchy).  Both the execution-driven scenario and the replay go through
+the scenario executor, so the session's ``BENCH_engine.json``
+perf-trajectory artifact carries a wall-clock row for each.  Their ratio is
+printed, not asserted: replay speed is gated by the end-to-end benchmark's
+``uts-replay`` workload and by the perf gate's ``fig6.1-uts-replay`` row,
+both of which compare against a recorded baseline instead of against the
+execution-driven run (whose own speed moves with the SM frontend).
 """
 
 import os
@@ -25,8 +28,6 @@ _EXEC_SCENARIO = Scenario(
     {"total_nodes": UTS_NODES, "warps_per_tb": 4},
     {"protocol": "gpu"},
 )
-
-MIN_SPEEDUP = 3.0
 
 
 def test_trace_replay_speedup_and_exactness(benchmark, show):
@@ -69,17 +70,6 @@ def test_trace_replay_speedup_and_exactness(benchmark, show):
     assert replay_record.result.cycles == exec_record.result.cycles
 
     speedup = exec_record.elapsed_s / replay_record.elapsed_s
-    if speedup < MIN_SPEEDUP:
-        # The replay leg is short enough to be scheduling-noise sensitive
-        # (a long pytest session bloats the heap; a background process can
-        # steal its 12 seconds).  Re-measure it once and keep the best --
-        # only the measured candidate gets the retry, never the baseline.
-        retry = execute(
-            [Scenario("fig6.1-uts-replay-retry", "trace", {"path": trace_path})]
-        )[0]
-        speedup = exec_record.elapsed_s / min(
-            replay_record.elapsed_s, retry.elapsed_s
-        )
     show(
         "fig6.1 UTS (%d nodes): execution %.2fs, replay %.2fs -> %.2fx "
         "(trace: %d events, %s)"
@@ -91,8 +81,4 @@ def test_trace_replay_speedup_and_exactness(benchmark, show):
             replay_record.result.stats["replay"]["events_injected"],
             os.path.basename(trace_path),
         )
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        "replay only %.2fx faster than execution (bar: %.1fx)"
-        % (speedup, MIN_SPEEDUP)
     )
