@@ -28,7 +28,6 @@ import os
 
 import pytest
 
-from repro import fastcore
 from repro.experiments import executor
 from repro.results import bench_io
 
@@ -198,13 +197,10 @@ def scenario_timing_artifact():
     # bench_io.merge_rows contract -- the same one `repro bench --update`
     # uses, so a partial session (CI's bench-smoke runs only the fig6.3
     # grid; developers run single files) refreshes the rows it
-    # re-measured and never silently loses the rest.  Rows measured under
-    # the fast core land in their own section ("scenarios_fast"): the
-    # identical simulation runs at a different speed per core, and the
-    # perf gate must never compare across cores.
+    # re-measured and never silently loses the rest.
     bench_io.merge_rows(
         _bench_engine_path(),
-        bench_io.section_for_core(fastcore.DEFAULT_CORE),
+        "scenarios",
         list(deduped.values()),
         extra_sections=_EXTRA_SECTIONS,
     )

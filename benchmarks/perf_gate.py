@@ -38,17 +38,14 @@ except ImportError:  # pragma: no cover - exercised by the CI invocation
     from repro.results import bench_io
 
 
-def load_rows(path: str, section: str = "scenarios") -> dict:
-    """Scenario-key -> row map of one section of a BENCH_engine artifact.
+def load_rows(path: str) -> dict:
+    """Scenario-key -> row map of a BENCH_engine artifact's ``scenarios``.
 
-    ``section`` is ``"scenarios"`` (python-core trajectory) or
-    ``"scenarios_fast"`` (fast-core trajectory): the two cores simulate
-    byte-identically but run at different speeds, so their rows are
-    tracked -- and gated -- separately.  Delegates to the shared loader
-    with ``missing_ok=False``: a gate must fail loudly on a missing or
-    unparsable artifact, never compare against nothing.
+    Delegates to the shared loader with ``missing_ok=False``: a gate must
+    fail loudly on a missing or unparsable artifact, never compare
+    against nothing.
     """
-    return bench_io.rows_by_key(path, section, missing_ok=False)
+    return bench_io.rows_by_key(path, "scenarios", missing_ok=False)
 
 
 def load_campaign_cells(path: str) -> dict | None:
@@ -136,21 +133,12 @@ def main(argv=None) -> int:
         default=0.35,
         help="fail when fresh < tolerance * committed (default: 0.35)",
     )
-    parser.add_argument(
-        "--core",
-        choices=["python", "fast"],
-        default="python",
-        help="which engine core's trajectory to gate: rows measured under "
-        "REPRO_CORE=fast live in the artifact's 'scenarios_fast' section "
-        "and are compared against that section only (default: python)",
-    )
     args = parser.parse_args(argv)
     if not 0 < args.tolerance <= 1:
         parser.error("--tolerance must be in (0, 1]")
-    section = "scenarios_fast" if args.core == "fast" else "scenarios"
     try:
-        fresh = load_rows(args.fresh, section)
-        committed = load_rows(args.committed, section)
+        fresh = load_rows(args.fresh)
+        committed = load_rows(args.committed)
         fresh_campaign = load_campaign_cells(args.fresh)
         committed_campaign = load_campaign_cells(args.committed)
     except (OSError, ValueError) as exc:

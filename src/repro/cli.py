@@ -146,11 +146,6 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mshr", type=int, default=32)
     parser.add_argument("--store-buffer", type=int, default=None)
     parser.add_argument("--scheduler", choices=["lrr", "gto"], default="lrr")
-    parser.add_argument("--core", choices=["auto", "python", "fast"],
-                        default="auto",
-                        help="SM frontend: the readable python SM or the "
-                             "byte-identical inlined fast SM ('auto' follows "
-                             "REPRO_CORE; see README 'Engine cores')")
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--hierarchy", metavar="FILE", default=None,
                         help="memory-hierarchy spec: a JSON/YAML file with a "
@@ -192,7 +187,6 @@ def _config_from_args(args, timeline: "int | None" = None) -> SystemConfig:
         warp_scheduler=args.scheduler,
         timeline_window=timeline,
         seed=args.seed,
-        core=getattr(args, "core", "auto"),
     )
     overrides = {}
     if args.sms is not None:
@@ -342,11 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="keys",
                        help="keep only rows whose scenario key or display "
                             "name contains SUBSTR (repeatable)")
-    bench.add_argument("--core", choices=["auto", "python", "fast"],
-                       default="auto",
-                       help="engine core to measure under; rows land in the "
-                            "matching artifact section ('auto' follows "
-                            "REPRO_CORE)")
     bench.add_argument("--artifact", metavar="FILE",
                        default="benchmarks/artifacts/BENCH_engine.json",
                        help="committed trajectory to diff (and --update) "
@@ -780,9 +769,6 @@ def _parse_override(text: str):
 def cmd_bench(args) -> int:
     """Re-measure the engine perf trajectory and diff it against the
     committed ``BENCH_engine.json`` (see benchmarks/README.md)."""
-    import os
-
-    from repro import fastcore
     from repro.experiments import bench
 
     if args.list_groups:
@@ -805,19 +791,11 @@ def cmd_bench(args) -> int:
         print("error: --max-drift must be 0 (disabled) or >= 1",
               file=sys.stderr)
         return 2
-    if args.core != "auto":
-        # Core selection is normally import-time (REPRO_CORE); pin both
-        # the module global (this process) and the environment (executor
-        # worker processes inherit it) before any system is built.
-        os.environ["REPRO_CORE"] = args.core
-        fastcore.DEFAULT_CORE = args.core
-    core = fastcore.DEFAULT_CORE
-    section = "scenarios_fast" if core == "fast" else "scenarios"
+    section = "scenarios"
     print(
-        "bench: measuring %s under the %s core%s"
+        "bench: measuring %s%s"
         % (
             ", ".join(groups),
-            core,
             " (best of %d rounds)" % args.rounds if args.rounds > 1 else "",
         )
     )

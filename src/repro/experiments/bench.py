@@ -6,14 +6,7 @@ suite times, at the same problem sizes (the size constants live here and
 ``benchmarks/conftest.py`` imports them, so the CLI and the suite cannot
 drift apart).  Rows are keyed by :meth:`Scenario.key` -- the stable hash
 of the simulation inputs -- which is how they match up with the committed
-``BENCH_engine.json`` trajectory.
-
-Rows measured under the fast core (``REPRO_CORE=fast`` /
-``--core fast``) belong to the artifact's ``scenarios_fast`` section;
-python-core rows belong to ``scenarios``.  The two cores simulate
-byte-identically but run at very different speeds, so their trajectories
-are tracked separately and the perf gate (``benchmarks/perf_gate.py
---core``) never compares across them.
+``BENCH_engine.json`` trajectory (its ``scenarios`` section).
 """
 
 from __future__ import annotations

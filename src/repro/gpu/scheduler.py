@@ -33,14 +33,10 @@ class LooseRoundRobin(WarpScheduler):
     def __init__(self) -> None:
         self._start = 0
 
-    def order(self, warps: Sequence[Warp], now: int) -> list[Warp]:
-        n = len(warps)
-        if n == 0:
-            return []
-        s = self._start % n
-        if s == 0:
-            return list(warps)
-        return list(warps[s:]) + list(warps[:s])
+    def order(self, warps: list[Warp], now: int) -> list[Warp]:
+        # Called on every SM tick; slicing the list already copies it.
+        s = self._start % len(warps) if warps else 0
+        return warps[s:] + warps[:s] if s else warps[:]
 
     def note_issue(self, warp: Warp, index: int, now: int) -> None:
         self._start += 1

@@ -5,13 +5,33 @@ evaluates one instruction per warp, exactly as Chapter 2 describes ("the
 issue stage of an SM may consider only one instruction from each warp at any
 time").  The evaluation order *is* Algorithm 1 -- the first condition that
 holds is the instruction's strong stall cause -- and the per-cycle cause is
-chosen by Algorithm 2 (:func:`repro.core.classifier.classify_cycle_with_detail`).
+chosen by Algorithm 2.
+
+The issue stage dominates the pure-Python profile (the SM is ticked every
+active cycle, and every tick walks every resident warp), so :meth:`SM.tick`
+is one flattened loop:
+
+* Algorithm 1 is inlined into the warp loop, with
+  :meth:`Scoreboard.hazard` unrolled into a scan of the warp's pending
+  writes, so a per-warp evaluation costs no function call;
+* Algorithm 2 is a running minimum over the cycle ranks carried through
+  the same loop.  :func:`repro.core.classifier.classify_cycle_with_detail`
+  keeps the first strictly lower rank of its ``causes`` list, which is
+  what a strict-``<`` running minimum over the same visit order computes.
+  The ablation policies (``strong``/``first``) collect the per-warp causes
+  and call their classifier instead;
+* :meth:`SmAttribution.record` is inlined at its two call sites (the
+  per-cycle record and the bulk sleep-gap record in :meth:`SM.wake`) when
+  no trace tap and no timeline is installed: it is then a breakdown
+  counter bump plus the pending/resolved memory-tag split.  With a tap or
+  a timeline, ``record`` is called as is.
 
 Sleep/wake: when nothing issued and every warp is blocked on a future event,
 the SM deactivates and attributes the skipped cycles in bulk to the cause it
 went to sleep with (the cause cannot change while no state changes).  This
 keeps Python simulation time proportional to events, not cycles, without
-altering the attribution.
+altering the attribution.  The digest corpus in ``tests/core_digests.json``
+pins the tick's behaviour scenario by scenario.
 """
 
 from __future__ import annotations
@@ -24,11 +44,11 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.attribution import SmAttribution
 from repro.core.component import Component
 from repro.core.classifier import (
+    _CYCLE_RANK,
     classify_cycle_first,
     classify_cycle_strong,
-    classify_cycle_with_detail,
 )
-from repro.core.stall_types import ServiceLocation, StallType
+from repro.core.stall_types import MemStructCause, ServiceLocation, StallType
 from repro.gpu.compute_unit import ComputeUnits
 from repro.gpu.instruction import Instruction, MapMode, Op, Space
 from repro.gpu.kernel import Kernel, ThreadBlock, WarpContext
@@ -45,6 +65,36 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mem.main_memory import GlobalMemory
     from repro.mem.scratchpad import Scratchpad
     from repro.mem.stash import Stash
+
+_CONTROL = StallType.CONTROL
+_MEM_DATA = StallType.MEM_DATA
+_COMP_DATA = StallType.COMP_DATA
+_SYNC = StallType.SYNC
+_MEM_STRUCT = StallType.MEM_STRUCT
+_COMP_STRUCT = StallType.COMP_STRUCT
+_NO_STALL = StallType.NO_STALL
+_IDLE = StallType.IDLE
+_MEMORY = ProducerKind.MEMORY
+_COMPUTE = ProducerKind.COMPUTE
+_SFU = Op.SFU
+_LOAD = Op.LOAD
+_STORE = Op.STORE
+_ATOMIC = Op.ATOMIC
+
+# The tick assigns each cause's Algorithm-2 rank as a literal at the branch
+# that classified it, instead of a dict lookup per warp.  The priority
+# order is a module constant of stall_types; this guard keeps a future
+# reordering from silently desynchronizing the literals.
+assert _CYCLE_RANK == {
+    _NO_STALL: 0,
+    _MEM_STRUCT: 1,
+    _MEM_DATA: 2,
+    _SYNC: 3,
+    _COMP_STRUCT: 4,
+    _COMP_DATA: 5,
+    _CONTROL: 6,
+    _IDLE: 7,
+}
 
 _tags = itertools.count(1)
 
@@ -100,6 +150,8 @@ class SM(Component):
         self._gather_waves: list[Callable[[], None]] = []
         l1.resource_freed_hooks.append(self._feed_gather_waves)
         self.scheduler = make_scheduler(config.warp_scheduler)
+        #: Algorithm 2 (the paper's choice) vs an ablation policy
+        self._weak_policy = config.attribution_policy == "weak"
         self._issue_width = config.issue_width
         self.warps: list[Warp] = []
         #: unfinished warps in ``warps`` order, maintained incrementally so
@@ -178,85 +230,178 @@ class SM(Component):
     # ==================================================================
     # Per-cycle issue stage
     # ==================================================================
-    def tick(self) -> None:
+    def tick(self) -> None:  # noqa: C901 (deliberately flattened hot loop)
         now = self.engine.now
         self.cycles_ticked += 1
         active = self._active_warps
         issued = 0
-        causes: list[tuple[StallType, object]] = []
+        best_cause = None
+        best_detail = None
+        best_rank = 99
+        # The ablation policies classify the cycle from every warp's cause;
+        # Algorithm 2 needs only the running minimum below.
+        causes = None if self._weak_policy else []
         if active:
-            for warp in self.scheduler.order(active, now):
-                cause, detail, instr = self._evaluate(warp, now)
-                if (
-                    cause is StallType.NO_STALL
-                    and issued < self._issue_width
-                    and instr is not None
+            sched = self.scheduler
+            # The order is a snapshot: an issue can retire warps (barrier
+            # release) and mutate ``_active_warps``.  No per-tick hoisting
+            # of lsu/cu/issue table: most warp evaluations stop at the
+            # fetch/waiting checks, so eager hoists cost more than the
+            # occasional double lookup.
+            for warp in sched.order(active, now):
+                # --- Algorithm 1, inlined ------------------------------
+                detail = None
+                if now < warp.fetch_ready_at:
+                    cause = _CONTROL
+                    rank = 6
+                elif warp.waiting_value:
+                    vp = warp.value_producer
+                    if vp is None:
+                        cause = _SYNC
+                        rank = 3
+                    elif vp[0] == "mem":
+                        cause = _MEM_DATA
+                        detail = vp[1]
+                        rank = 2
+                    elif vp[0] == "compute":
+                        cause = _COMP_DATA
+                        rank = 5
+                    else:
+                        cause = _SYNC
+                        rank = 3
+                elif warp.at_barrier:
+                    cause = _SYNC
+                    rank = 3
+                else:
+                    instr = warp.current
+                    if instr is None:
+                        cause = _CONTROL
+                        rank = 6
+                    else:
+                        # Scoreboard.hazard, inlined: first blocking
+                        # producer; memory wins and short-circuits, ready
+                        # compute results retire lazily (the same mutations
+                        # in the same visit order as the method).
+                        hazard = None
+                        pending = warp.sb_pending
+                        if pending:
+                            for reg in instr.srcs:
+                                entry = pending.get(reg)
+                                if entry is None:
+                                    continue
+                                if entry[0] is _COMPUTE:
+                                    if entry[1] <= now:
+                                        del pending[reg]
+                                        continue
+                                    if hazard is None:
+                                        hazard = entry
+                                else:
+                                    hazard = entry
+                                    break
+                        if hazard is not None and hazard[0] is _MEMORY:
+                            cause = _MEM_DATA
+                            detail = hazard[1]
+                            rank = 2
+                        else:
+                            op = instr.op
+                            struct = (
+                                self.lsu.check(instr, now)
+                                if op is _LOAD or op is _STORE or op is _ATOMIC
+                                else None
+                            )
+                            if struct is not None:
+                                cause = _MEM_STRUCT
+                                detail = struct
+                                rank = 1
+                            elif hazard is not None:
+                                cause = _COMP_DATA
+                                rank = 5
+                            elif op is _SFU and now < self.cu._sfu_free_at:
+                                self.cu.note_sfu_rejection()
+                                cause = _COMP_STRUCT
+                                rank = 4
+                            else:
+                                cause = _NO_STALL
+                                rank = 0
+                                if issued < self._issue_width:
+                                    warp.fetch_ready_at = (
+                                        now + 1 + instr.fetch_delay
+                                    )
+                                    self._issue_table[op](warp, instr, now)
+                                    sched.note_issue(warp, 0, now)
+                                    warp.instructions_issued += 1
+                                    warp.last_issue = now
+                                    self.instructions_issued += 1
+                                    issued += 1
+                # --- Algorithm 2 as a running first-minimum ------------
+                if rank < best_rank:
+                    best_rank = rank
+                    best_cause = cause
+                    best_detail = detail
+                if causes is not None:
+                    causes.append((cause, detail))
+        if causes is not None:
+            types = [c for c, _ in causes]
+            if self.config.attribution_policy == "strong":
+                best_cause = classify_cycle_strong(types)
+            else:
+                best_cause = classify_cycle_first(types)
+            best_detail = next((d for c, d in causes if c is best_cause), None)
+        elif best_cause is None:
+            best_cause = _IDLE
+        attr = self.attr
+        if attr is not None:
+            if attr.tap is None and attr.timeline is None:
+                # --- SmAttribution.record(cause, detail, 1), inlined ---
+                bd = attr.breakdown
+                bd.counts[best_cause] += 1
+                if best_cause is _MEM_DATA and best_detail is not None:
+                    loc = attr._resolved.get(best_detail)
+                    if loc is not None:
+                        bd.mem_data[loc] += 1
+                    else:
+                        pm = attr._pending_mem
+                        pm[best_detail] = pm.get(best_detail, 0) + 1
+                elif best_cause is _MEM_STRUCT and isinstance(
+                    best_detail, MemStructCause
                 ):
-                    self._issue(warp, instr, now)
-                    self.scheduler.note_issue(warp, 0, now)
-                    warp.instructions_issued += 1
-                    warp.last_issue = now
-                    self.instructions_issued += 1
-                    issued += 1
-                causes.append((cause, detail))
-        cycle_cause, cycle_detail = self._classify(causes)
-        if self.attr is not None:
-            self.attr.record(cycle_cause, cycle_detail, 1, at=now)
+                    bd.mem_struct[best_detail] += 1
+            else:
+                attr.record(best_cause, best_detail, 1, at=now)
         if issued == 0:
-            self._consider_sleep(cycle_cause, cycle_detail, now)
-
-    def _classify(
-        self, causes: list[tuple[StallType, object]]
-    ) -> tuple[StallType, object]:
-        """Cycle classification under the configured policy.
-
-        "weak" is Algorithm 2 (the default and the paper's choice); the
-        alternatives exist for the attribution-policy ablation benchmark.
-        """
-        policy = self.config.attribution_policy
-        if policy == "weak":
-            return classify_cycle_with_detail(causes)
-        types = [c for c, _ in causes]
-        if policy == "strong":
-            chosen = classify_cycle_strong(types)
-        else:
-            chosen = classify_cycle_first(types)
-        detail = next((d for c, d in causes if c is chosen), None)
-        return chosen, detail
-
-    # ------------------------------------------------------------------
-    # Algorithm 1: strongest cause preventing this warp's instruction
-    # ------------------------------------------------------------------
-    def _evaluate(
-        self, warp: Warp, now: int
-    ) -> tuple[StallType, object, Instruction | None]:
-        if now < warp.fetch_ready_at:
-            return (StallType.CONTROL, None, None)
-        if warp.waiting_value:
-            kind, tag = warp.value_producer or ("sync", 0)
-            if kind == "mem":
-                return (StallType.MEM_DATA, tag, None)
-            if kind == "compute":
-                return (StallType.COMP_DATA, None, None)
-            return (StallType.SYNC, None, None)
-        if warp.at_barrier:
-            return (StallType.SYNC, None, None)
-        instr = warp.current
-        if instr is None:
-            return (StallType.CONTROL, None, None)
-        hazard = warp.scoreboard.hazard(instr.srcs, now)
-        if hazard is not None and hazard[0] is ProducerKind.MEMORY:
-            return (StallType.MEM_DATA, hazard[1], None)
-        if instr.is_memory:
-            struct = self.lsu.check(instr, now)
-            if struct is not None:
-                return (StallType.MEM_STRUCT, struct, None)
-        if hazard is not None:
-            return (StallType.COMP_DATA, None, None)
-        if instr.op is Op.SFU and not self.cu.sfu_ready(now):
-            self.cu.note_sfu_rejection()
-            return (StallType.COMP_STRUCT, None, None)
-        return (StallType.NO_STALL, None, instr)
+            # --- sleep until the earliest future wake-up ---------------
+            mn = 0
+            for w in active:
+                fra = w.fetch_ready_at
+                if now < fra and (mn == 0 or fra < mn):
+                    mn = fra
+                if w.waiting_value:
+                    vp = w.value_producer
+                    if vp is not None and vp[0] == "compute":
+                        t = int(vp[1])
+                        if mn == 0 or t < mn:
+                            mn = t
+                # Scoreboard.next_compute_ready, unrolled (the pending
+                # dict is empty for most warps most of the time).
+                pending = w.sb_pending
+                if pending:
+                    for kind, d in pending.values():
+                        if kind is _COMPUTE and d > now and (mn == 0 or d < mn):
+                            mn = d
+            t = self.lsu.busy_until
+            if t > now and (mn == 0 or t < mn):
+                mn = t
+            t = self.cu._sfu_free_at
+            if t > now and (mn == 0 or t < mn):
+                mn = t
+            self.sleeping = True
+            self._sleep_cause = (best_cause, best_detail)
+            self._sleep_from = now + 1
+            engine = self.engine
+            engine.deactivate(self.tid)
+            if mn:
+                delay = mn - now
+                engine.schedule(delay if delay > 0 else 1, self.wake)
 
     def _release_complete(self) -> None:
         self._active_releases -= 1
@@ -269,13 +414,6 @@ class SM(Component):
     # ------------------------------------------------------------------
     # Issue
     # ------------------------------------------------------------------
-    def _issue(self, warp: Warp, instr: Instruction, now: int) -> None:
-        warp.fetch_ready_at = now + 1 + instr.fetch_delay
-        handler = self._issue_table.get(instr.op)
-        if handler is None:  # pragma: no cover - exhaustive
-            raise ValueError("cannot issue %r" % (instr.op,))
-        handler(warp, instr, now)
-
     def _issue_nop(self, warp: Warp, instr: Instruction, now: int) -> None:
         self._advance(warp, None)
 
@@ -642,40 +780,35 @@ class SM(Component):
     # ==================================================================
     # Sleep / wake
     # ==================================================================
-    def _consider_sleep(
-        self, cause: StallType, detail: object, now: int
-    ) -> None:
-        wakes: list[int] = []
-        for w in self._active_warps:
-            if now < w.fetch_ready_at:
-                wakes.append(w.fetch_ready_at)
-            if w.waiting_value and w.value_producer and w.value_producer[0] == "compute":
-                wakes.append(int(w.value_producer[1]))
-            ready = w.scoreboard.next_compute_ready(now)
-            if ready is not None:
-                wakes.append(ready)
-        if self.lsu.busy_until > now:
-            wakes.append(self.lsu.busy_until)
-        if self.cu.sfu_free_at() > now:
-            wakes.append(self.cu.sfu_free_at())
-        self.sleeping = True
-        self._sleep_cause = (cause, detail)
-        self._sleep_from = now + 1
-        self.engine.deactivate(self.tid)
-        if wakes:
-            delay = max(1, min(wakes) - now)
-            self.engine.schedule(delay, self.wake)
-
     def wake(self) -> None:
         """Reactivate; bulk-attribute the slept cycles to the sleep cause."""
         if not self.sleeping:
             return
-        gap = self.engine.now - self._sleep_from
-        if gap > 0 and self.attr is not None:
-            cause, detail = self._sleep_cause
-            self.attr.record(cause, detail, gap, at=self._sleep_from)
+        engine = self.engine
+        gap = engine.now - self._sleep_from
+        if gap > 0:
+            attr = self.attr
+            if attr is not None:
+                cause, detail = self._sleep_cause
+                if attr.tap is None and attr.timeline is None:
+                    # SmAttribution.record(cause, detail, gap), inlined.
+                    bd = attr.breakdown
+                    bd.counts[cause] += gap
+                    if cause is _MEM_DATA and detail is not None:
+                        loc = attr._resolved.get(detail)
+                        if loc is not None:
+                            bd.mem_data[loc] += gap
+                        else:
+                            pm = attr._pending_mem
+                            pm[detail] = pm.get(detail, 0) + gap
+                    elif cause is _MEM_STRUCT and isinstance(
+                        detail, MemStructCause
+                    ):
+                        bd.mem_struct[detail] += gap
+                else:
+                    attr.record(cause, detail, gap, at=self._sleep_from)
         self.sleeping = False
-        self.engine.activate(self.tid)
+        engine.activate(self.tid)
 
     def finalize(self, end_cycle: int) -> None:
         """Account for a sleep period still open when the run ended."""

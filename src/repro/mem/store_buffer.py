@@ -71,6 +71,8 @@ class StoreBuffer(Component):
         self._free: list[SbEntry] = []
         #: line -> seq of its PENDING (combinable) entry, if any
         self._pending_by_line: dict[int, int] = {}
+        #: number of PENDING entries (the L1 asks on every store and drain)
+        self.pending = 0
         self._seq = 0
         self._flush_waiters: list[tuple[int, Callable[[], None]]] = []
         # statistics
@@ -126,6 +128,7 @@ class StoreBuffer(Component):
                 line=line, words=set(words) if words else set(), seq=self._seq
             )
         entries[self._seq] = entry
+        self.pending += 1
         if self.write_combining:
             self._pending_by_line[line] = self._seq
         self.stores_accepted.value += 1
@@ -135,9 +138,12 @@ class StoreBuffer(Component):
     # ------------------------------------------------------------------
     def drain_one(self) -> SbEntry | None:
         """Issue the oldest PENDING entry to the memory system, if any."""
+        if not self.pending:
+            return None
         for entry in self._entries.values():
             if entry.state is SbEntryState.PENDING:
                 entry.state = SbEntryState.ISSUED
+                self.pending -= 1
                 if self._pending_by_line.get(entry.line) == entry.seq:
                     del self._pending_by_line[entry.line]
                 self._issue_fn(entry)
@@ -145,7 +151,7 @@ class StoreBuffer(Component):
         return None
 
     def has_pending(self) -> bool:
-        return any(e.state is SbEntryState.PENDING for e in self._entries.values())
+        return self.pending > 0
 
     def ack(self, line: int, seq: int | None = None) -> None:
         """The memory system acknowledged the entry for ``line``: free it.

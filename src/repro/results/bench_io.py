@@ -6,16 +6,13 @@ Three consumers used to re-parse the artifact with ad-hoc code --
 (``benchmarks/conftest.py``).  They all read the same shape, so this
 module owns it:
 
-* top level: ``{"unit": ..., "scenarios": [...], "scenarios_fast": [...],
-  "campaign_cells": {...}, <future sections carried verbatim>}``;
+* top level: ``{"unit": ..., "scenarios": [...], "campaign_cells":
+  {...}, <future sections carried verbatim>}``;
 * a **scenario section** (:data:`SCENARIO_SECTIONS`) is a list of rows
   keyed by :meth:`~repro.experiments.spec.Scenario.key` -- the stable
   hash of the simulation inputs -- with ``scenario`` / ``workload``
   display fields, ``cycles``, ``engine_events``, ``wall_clock_s`` and
-  the headline ``cycles_per_sec``.  ``scenarios`` holds python-core
-  rows, ``scenarios_fast`` fast-core rows (the cores simulate
-  byte-identically but run at different speeds, so their trajectories
-  never mix);
+  the headline ``cycles_per_sec``;
 * ``campaign_cells`` is a whole-campaign throughput section (cells/min
   for the planned and serial legs) published by
   ``benchmarks/test_campaign_bench.py``.
@@ -28,16 +25,11 @@ from __future__ import annotations
 import json
 import os
 
-#: the per-scenario trajectory sections, one per engine core
-SCENARIO_SECTIONS = ("scenarios", "scenarios_fast")
+#: the per-scenario trajectory sections
+SCENARIO_SECTIONS = ("scenarios",)
 
 #: the unit line stamped into every artifact this module writes
 UNIT = "simulated GPU cycles per host second"
-
-
-def section_for_core(core: str) -> str:
-    """Which scenario section rows measured under ``core`` belong to."""
-    return "scenarios_fast" if core == "fast" else "scenarios"
 
 
 def load_artifact(path: str, missing_ok: bool = True) -> dict:
@@ -107,8 +99,8 @@ def merge_rows(
       with a fresh row are evicted: a config change rehashes
       ``Scenario.key()``, and the re-measured scenario would otherwise
       land under a new key while its dead old-key row survived;
-    * sections this call did not touch (the other core's rows,
-      ``campaign_cells``, future sections) are carried through verbatim;
+    * sections this call did not touch (``campaign_cells``, future
+      sections) are carried through verbatim;
     * ``extra_sections`` (name -> payload) overwrite whole named sections
       (the conftest's ``add_bench_section`` channel).
 

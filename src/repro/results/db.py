@@ -11,11 +11,11 @@ directory crawl, and the report generator
 (:mod:`repro.results.report_gen`) can regenerate the whole paper from a
 single source.
 
-Schema (``SCHEMA_VERSION`` 1) -- see ``docs/ARTIFACTS.md`` for the
+Schema (``SCHEMA_VERSION`` 2) -- see ``docs/ARTIFACTS.md`` for the
 source formats each table is fed from:
 
 * ``ingests`` -- provenance, one row per ingestion call: source kind and
-  path, git SHA, python version, engine core, schema version.
+  path, git SHA, python version.
 * ``experiments`` / ``claims`` -- one row per regenerated paper artifact
   (``fig6.1-uts`` ...) and its checked shape claims.
 * ``runs`` -- one simulation result: scenario key (the stable hash of
@@ -51,7 +51,7 @@ import sys
 
 from repro.results import bench_io
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -63,8 +63,7 @@ CREATE TABLE IF NOT EXISTS ingests (
     kind TEXT NOT NULL,
     source TEXT,
     git_sha TEXT,
-    python_version TEXT,
-    core TEXT
+    python_version TEXT
 );
 CREATE TABLE IF NOT EXISTS experiments (
     name TEXT PRIMARY KEY,
@@ -240,18 +239,10 @@ class ResultsDB:
 
     # -- provenance -----------------------------------------------------
     def _begin_ingest(self, kind: str, source: str | None) -> int:
-        from repro import fastcore
-
         cur = self._conn.execute(
-            "INSERT INTO ingests (kind, source, git_sha, python_version, core)"
-            " VALUES (?, ?, ?, ?, ?)",
-            (
-                kind,
-                source,
-                _git_sha(),
-                "%d.%d.%d" % sys.version_info[:3],
-                fastcore.DEFAULT_CORE,
-            ),
+            "INSERT INTO ingests (kind, source, git_sha, python_version)"
+            " VALUES (?, ?, ?, ?)",
+            (kind, source, _git_sha(), "%d.%d.%d" % sys.version_info[:3]),
         )
         return cur.lastrowid
 

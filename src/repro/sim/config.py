@@ -137,15 +137,6 @@ class SystemConfig:
     #: bucket size (cycles) for windowed stall timelines; None disables them
     timeline_window: int | None = None
 
-    # --- engine core --------------------------------------------------------
-    #: which SM frontend elaborates this system (``SM`` or the inlined
-    #: ``FastSM``): ``"auto"`` defers to the ``REPRO_CORE`` environment
-    #: variable (default ``python``), while ``"python"`` / ``"fast"`` pin
-    #: it.  Both cores are byte-identical by contract, so the field never
-    #: enters :meth:`to_dict` -- cache keys, recorded traces and golden
-    #: artifacts are shared between them.
-    core: str = "auto"
-
     # --- run control -----------------------------------------------------------
     max_cycles: int = 5_000_000
     seed: int = 2016
@@ -216,8 +207,6 @@ class SystemConfig:
             raise ValueError(
                 "attribution_policy must be 'weak', 'strong' or 'first'"
             )
-        if self.core not in ("auto", "python", "fast"):
-            raise ValueError("core must be 'auto', 'python' or 'fast'")
         if self.hierarchy is not None:
             # Normalize to the canonical dict form so configs that spell the
             # same shape differently compare (and hash) equal, and validate
@@ -288,9 +277,7 @@ class SystemConfig:
         ``hierarchy`` is omitted when unset (the default Table 5.1 shape):
         configs that never opted into an explicit fabric keep their exact
         historical serialization, so cached results and regenerated
-        artifacts stay byte-identical.  ``core`` is *always* omitted: the
-        two engine cores produce identical results by contract, so the
-        selection must never split cache keys or recorded artifacts.
+        artifacts stay byte-identical.
         """
         out = {}
         for f in fields(self):
@@ -298,7 +285,6 @@ class SystemConfig:
             out[f.name] = value.value if isinstance(value, enum.Enum) else value
         if out["hierarchy"] is None:
             del out["hierarchy"]
-        del out["core"]
         return out
 
     @staticmethod

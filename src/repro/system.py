@@ -20,10 +20,8 @@ from repro.core.attribution import Inspector
 from repro.core.breakdown import StallBreakdown
 from repro.core.component import Component, StatsSnapshot
 from repro.cpu.core import CpuCore
-from repro.fastcore import resolve_core
 from repro.gpu.kernel import Kernel
 from repro.gpu.sm import SM
-from repro.gpu.sm_fast import FastSM
 from repro.gpu.tb_scheduler import ThreadBlockScheduler
 from repro.mem.cache import SetAssocCache
 from repro.mem.coherence import make_protocol
@@ -110,10 +108,6 @@ class System(Component):
     def __init__(self, config: SystemConfig) -> None:
         Component.__init__(self, "system")
         self.config = config
-        #: resolved core ("python" or "fast"); see repro.fastcore.  The
-        #: two cores differ only in the SM frontend (``SM`` vs the inlined
-        #: ``FastSM``) and are byte-identical by contract.
-        self.core = resolve_core(config.core)
         self.engine = Engine()
         self.add_child(self.engine)
         self.mesh = Mesh(
@@ -227,7 +221,7 @@ class System(Component):
             attribution = (
                 self.inspector.sm(sm_id) if config.gsi_enabled else None
             )
-            sm = (FastSM if self.core == "fast" else SM)(
+            sm = SM(
                 sm_id,
                 node,
                 config,

@@ -23,11 +23,10 @@ the corpus (``core_digests.json`` next to this file) records:
 * ``trace_sha256`` (recorded scenarios) -- SHA-256 of the saved
   ``.gsitrace`` file's bytes.
 
-The scenarios run on the core ``REPRO_CORE`` selects, so ``--check`` under
-each value of ``REPRO_CORE`` checks each SM frontend.  Regenerate only at a
-commit whose results are known good (the fig6.x goldens still ``cmp``
-equal): without ``--force`` the script refuses to replace an existing
-corpus that differs, and it lists every changed scenario either way.
+Regenerate only at a commit whose results are known good (the fig6.x
+goldens still ``cmp`` equal): without ``--force`` the script refuses to
+replace an existing corpus that differs, and it lists every changed
+scenario either way.
 """
 
 from __future__ import annotations
@@ -123,9 +122,9 @@ def digest(result: SimResult) -> dict:
     }
 
 
-def simulate(scenario: Scenario, core: str = "auto") -> tuple[SimResult, dict]:
+def simulate(scenario: Scenario) -> tuple[SimResult, dict]:
     """Run ``scenario``; return its result and its corpus entry."""
-    config = scenario.build_config().scaled(core=core)
+    config = scenario.build_config()
     workload = scenario.build_workload()
     if scenario.name not in RECORDED:
         result = run_workload(config, workload)

@@ -20,8 +20,8 @@ def _warm_engine() -> Engine:
     return engine
 
 
-# The ids date from when each core had its own engine class; both cores
-# now share this one, and the ids are kept so test ids stay stable.
+# "python" is a fresh engine, "fast" a warm one.  The ids date from when
+# each engine core had its own class, and are kept so test ids stay stable.
 @pytest.fixture(params=[Engine, _warm_engine], ids=["python", "fast"])
 def engine_cls(request):
     return request.param

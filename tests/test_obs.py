@@ -2,7 +2,7 @@
 
 The crown-jewel property is *provable inertness*: a run with telemetry
 attached must produce a field-for-field identical ``SimResult`` to one
-without, under both cores -- telemetry observes through the
+without -- telemetry observes through the
 engine's observer-event lane and pure attribution taps, never through
 the simulated machine.
 """
@@ -27,12 +27,10 @@ from repro.sim.engine import Engine
 from repro.system import System, run_workload
 from repro.workloads import make_workload
 
-CORES = ("python", "fast")
 
-
-def _run(core, telemetry=None, workload="streaming"):
+def _run(telemetry=None, workload="streaming"):
     return run_workload(
-        SystemConfig(core=core, num_sms=2), make_workload(workload), telemetry=telemetry
+        SystemConfig(num_sms=2), make_workload(workload), telemetry=telemetry
     )
 
 
@@ -80,16 +78,15 @@ class TestObserverLane:
 
 
 class TestInertness:
-    @pytest.mark.parametrize("core", CORES)
-    def test_result_identical_with_telemetry_on_vs_off(self, core, tmp_path):
-        off = _run(core)
+    def test_result_identical_with_telemetry_on_vs_off(self, tmp_path):
+        off = _run()
         telemetry = TelemetryConfig(
             out=str(tmp_path / "run.jsonl"),
             timeline_out=str(tmp_path / "run.trace.json"),
             sample_every=250,
             heartbeat=False,
         )
-        on = _run(core, telemetry=telemetry)
+        on = _run(telemetry=telemetry)
         assert json.dumps(off.to_dict(), sort_keys=True) == json.dumps(
             on.to_dict(), sort_keys=True
         )
@@ -98,18 +95,17 @@ class TestInertness:
         # and telemetry actually ran
         assert len(read_series(str(tmp_path / "run.jsonl"))["samples"]) > 2
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_trace_replay_identical_with_telemetry(self, core, tmp_path):
+    def test_trace_replay_identical_with_telemetry(self, tmp_path):
         from repro.trace import record_workload, replay_trace
 
-        config = SystemConfig(core=core, num_sms=2)
+        config = SystemConfig(num_sms=2)
         _, trace = record_workload(config, make_workload("streaming"))
-        off = replay_trace(trace, config=SystemConfig(core=core, num_sms=2))
+        off = replay_trace(trace, config=SystemConfig(num_sms=2))
         telemetry = TelemetryConfig(
             out=str(tmp_path / "replay.jsonl"), sample_every=250, heartbeat=False
         )
         on = replay_trace(
-            trace, config=SystemConfig(core=core, num_sms=2), telemetry=telemetry
+            trace, config=SystemConfig(num_sms=2), telemetry=telemetry
         )
         assert json.dumps(off.to_dict(), sort_keys=True) == json.dumps(
             on.to_dict(), sort_keys=True
@@ -120,7 +116,7 @@ class TestInertness:
 class TestSeries:
     def test_series_structure_and_deltas(self, tmp_path):
         out = str(tmp_path / "s.jsonl")
-        _run("python", TelemetryConfig(out=out, sample_every=300, heartbeat=False))
+        _run(TelemetryConfig(out=out, sample_every=300, heartbeat=False))
         series = read_series(out)
         header = series["header"]
         assert header["columns"] == sorted(header["columns"])
@@ -143,7 +139,7 @@ class TestSeries:
 
     def test_csv_sibling(self, tmp_path):
         out = str(tmp_path / "s.jsonl")
-        _run("python", TelemetryConfig(out=out, sample_every=300, heartbeat=False))
+        _run(TelemetryConfig(out=out, sample_every=300, heartbeat=False))
         with open(str(tmp_path / "s.csv")) as fh:
             lines = fh.read().splitlines()
         header = lines[0].split(",")
@@ -155,7 +151,6 @@ class TestSeries:
     def test_extra_sample_stats_patterns(self, tmp_path):
         out = str(tmp_path / "s.jsonl")
         _run(
-            "python",
             TelemetryConfig(
                 out=out,
                 sample_every=500,
@@ -169,7 +164,7 @@ class TestSeries:
 
     def test_summarize_text_and_csv(self, tmp_path):
         out = str(tmp_path / "s.jsonl")
-        _run("python", TelemetryConfig(out=out, sample_every=300, heartbeat=False))
+        _run(TelemetryConfig(out=out, sample_every=300, heartbeat=False))
         text = summarize_series(out)
         assert "samples" in text and "breakdown.memory_data" in text
         csv = summarize_series(out, fmt="csv", columns=["breakdown.*"])
@@ -188,7 +183,7 @@ class TestTimeline:
     def test_trace_event_schema_and_coverage(self, tmp_path):
         out = str(tmp_path / "run.trace.json")
         result = _run(
-            "python", TelemetryConfig(timeline_out=out, sample_every=300, heartbeat=False)
+            TelemetryConfig(timeline_out=out, sample_every=300, heartbeat=False)
         )
         with open(out) as fh:
             trace = json.load(fh)
@@ -211,7 +206,6 @@ class TestTimeline:
     def test_span_cap_records_drops(self, tmp_path):
         out = str(tmp_path / "run.trace.json")
         _run(
-            "python",
             TelemetryConfig(
                 timeline_out=out, sample_every=2000, heartbeat=False,
                 timeline_max_events=5,

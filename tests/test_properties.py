@@ -17,7 +17,7 @@ from repro.mem.cache import LineState, SetAssocCache
 from repro.mem.main_memory import GlobalMemory
 from repro.mem.mshr import Mshr
 from repro.mem.scratchpad import Scratchpad
-from repro.mem.store_buffer import StoreBuffer
+from repro.mem.store_buffer import SbEntryState, StoreBuffer
 from repro.noc.mesh import Mesh
 from repro.sim.engine import Engine
 from repro.workloads.uts import generate_tree
@@ -192,6 +192,10 @@ def test_store_buffer_occupancy_and_ack_discipline(ops):
             entry = in_flight.pop(0)
             sb.ack(entry.line, seq=entry.seq)
         assert sb.occupancy <= 4
+        assert sb.pending == sum(
+            e.state is SbEntryState.PENDING for e in sb._entries.values()
+        )
+        assert sb.has_pending() == (sb.pending > 0)
     # Everything issued was issued exactly once, in seq order.
     assert issued == sorted(set(issued))
 

@@ -92,6 +92,12 @@ class TestIngestRecords:
             assert summary["breakdown"] == len(records[0].result.breakdown.rows())
             # provenance keeps both ingestion events
             assert summary["ingests"] == 2
+            cols, _ = db.query("SELECT * FROM ingests")
+            assert cols == ["id", "kind", "source", "git_sha", "python_version"]
+            _, version = db.query(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            )
+            assert version == [("2",)]
 
     def test_executor_results_db_hook(self, tmp_path):
         db_path = str(tmp_path / "hook.db")

@@ -165,7 +165,6 @@ class TestGsiDisabled:
         )
         assert on.cycles == off.cycles
 
-    @pytest.mark.parametrize("core", ["python", "fast"])
     @pytest.mark.parametrize(
         "workload, args",
         [
@@ -175,13 +174,13 @@ class TestGsiDisabled:
         ],
         ids=["uts", "implicit_dma", "lock_contention"],
     )
-    def test_disabled_leaves_every_stat_identical(self, core, workload, args):
+    def test_disabled_leaves_every_stat_identical(self, workload, args):
         """GSI is observational on every path -- UTS queues, the scratchpad
         and DMA engine, lock atomics: turning it off leaves the cycle count
         and every statistic of the machine byte-identical."""
         runs = [
             run_workload(
-                SystemConfig(core=core, num_sms=4, gsi_enabled=enabled),
+                SystemConfig(num_sms=4, gsi_enabled=enabled),
                 make_workload(workload, **args),
             )
             for enabled in (True, False)
