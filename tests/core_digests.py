@@ -111,7 +111,7 @@ def _sha256(obj) -> str:
 
 
 def digest(result: SimResult) -> dict:
-    """The corpus entry of one simulated scenario."""
+    """The digests every corpus entry holds for one simulated scenario."""
     tree = result.stats_tree.flatten()
     return {
         "cycles": result.cycles,
@@ -122,17 +122,17 @@ def digest(result: SimResult) -> dict:
     }
 
 
-def simulate(scenario: Scenario) -> tuple[SimResult, dict]:
-    """Run ``scenario``; return its result and its corpus entry."""
+def simulate(scenario: Scenario) -> dict:
+    """Run ``scenario``; return its corpus entry."""
     config = scenario.build_config()
     workload = scenario.build_workload()
-    if scenario.name not in RECORDED:
-        result = run_workload(config, workload)
-        entry = digest(result)
-    else:
+    if scenario.name in RECORDED:
         result, trace = record_workload(config, workload, name=scenario.workload,
                                         workload_args=scenario.workload_args)
-        entry = digest(result)
+    else:
+        result, trace = run_workload(config, workload), None
+    entry = digest(result)
+    if trace is not None:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "run.gsitrace")
             save_trace(trace, path)
@@ -141,7 +141,7 @@ def simulate(scenario: Scenario) -> tuple[SimResult, dict]:
     if result.timeline is not None:
         entry["timeline_sha256"] = hashlib.sha256(
             render_timeline(result.timeline).encode("utf-8")).hexdigest()
-    return result, entry
+    return entry
 
 
 def load_corpus(path: str = CORPUS_PATH) -> dict:
@@ -172,8 +172,7 @@ def main(argv: list[str] | None = None) -> int:
 
     fresh = {}
     for scenario in SCENARIOS:
-        _, entry = simulate(scenario)
-        fresh[scenario.name] = entry
+        fresh[scenario.name] = entry = simulate(scenario)
         print("%-40s %8d cycles %9d events" % (
             scenario.name, entry["cycles"], entry["engine_events"]))
     old = load_corpus() if os.path.exists(CORPUS_PATH) else None

@@ -25,7 +25,7 @@ CORPUS = load_corpus()
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=[s.name for s in SCENARIOS])
 def test_fast_core_matches_python_oracle(scenario) -> None:
-    _, entry = simulate(scenario)
+    entry = simulate(scenario)
     old = CORPUS.get(scenario.name)
     assert entry == old, describe_change(scenario.name, old, entry)
 
