@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablations of the model's design choices.
 
 1. **Cycle attribution policy** -- the paper's "weak" Algorithm 2 vs the
    strong inversion vs first-stalled-warp.  Timing is identical (the policy
@@ -18,21 +18,18 @@ from repro.workloads.implicit import ImplicitScratchpad
 from repro.workloads.synthetic import StreamingWorkload
 from repro.workloads.uts import UtsdWorkload
 
-from benchmarks.conftest import run_once
-
 UTSD_ARGS = dict(total_nodes=80, payload_lines=3)
 
 
 class TestAttributionPolicy:
-    def test_attribution_policy_ablation(self, benchmark, show):
-        def run_all():
-            out = {}
-            for policy in ("weak", "strong", "first"):
-                cfg = SystemConfig(num_sms=4, attribution_policy=policy)
-                out[policy] = run_workload(cfg, UtsdWorkload(**UTSD_ARGS))
-            return out
-
-        results = run_once(benchmark, run_all)
+    def test_attribution_policy_ablation(self, show):
+        results = {
+            policy: run_workload(
+                SystemConfig(num_sms=4, attribution_policy=policy),
+                UtsdWorkload(**UTSD_ARGS),
+            )
+            for policy in ("weak", "strong", "first")
+        }
         lines = ["attribution policy ablation (UTSD, gpu coherence):"]
         for policy, r in results.items():
             bd = r.breakdown
@@ -59,18 +56,12 @@ class TestAttributionPolicy:
 
 
 class TestSfifoRelease:
-    def test_sfifo_removes_pending_release_stalls(self, benchmark, show):
-        def run_pair():
-            base = run_workload(
-                SystemConfig(num_sms=4), UtsdWorkload(**UTSD_ARGS)
-            )
-            sfifo = run_workload(
-                SystemConfig(num_sms=4, sfifo_release=True),
-                UtsdWorkload(**UTSD_ARGS),
-            )
-            return base, sfifo
-
-        base, sfifo = run_once(benchmark, run_pair)
+    def test_sfifo_removes_pending_release_stalls(self, show):
+        base = run_workload(SystemConfig(num_sms=4), UtsdWorkload(**UTSD_ARGS))
+        sfifo = run_workload(
+            SystemConfig(num_sms=4, sfifo_release=True),
+            UtsdWorkload(**UTSD_ARGS),
+        )
         show(
             "S-FIFO ablation: pending_release %d -> %d cycles, exec %d -> %d"
             % (
@@ -86,17 +77,14 @@ class TestSfifoRelease:
 
 
 class TestWriteCombining:
-    def test_disabling_combining_inflates_sb_pressure(self, benchmark, show):
-        def run_pair():
-            wl = ImplicitScratchpad(num_tbs=2, warps_per_tb=8)
-            with_wc = run_workload(SystemConfig(), wl)
-            without = run_workload(
-                SystemConfig(write_combining=False),
-                ImplicitScratchpad(num_tbs=2, warps_per_tb=8),
-            )
-            return with_wc, without
-
-        with_wc, without = run_once(benchmark, run_pair)
+    def test_disabling_combining_inflates_sb_pressure(self, show):
+        with_wc = run_workload(
+            SystemConfig(), ImplicitScratchpad(num_tbs=2, warps_per_tb=8)
+        )
+        without = run_workload(
+            SystemConfig(write_combining=False),
+            ImplicitScratchpad(num_tbs=2, warps_per_tb=8),
+        )
         show(
             "write combining ablation: SB-full stalls %d (on) vs %d (off)"
             % (
@@ -111,17 +99,13 @@ class TestWriteCombining:
 
 
 class TestWarpScheduler:
-    def test_lrr_vs_gto(self, benchmark, show):
-        def run_pair():
-            lrr = run_workload(
-                SystemConfig(num_sms=2, warp_scheduler="lrr"), StreamingWorkload()
-            )
-            gto = run_workload(
-                SystemConfig(num_sms=2, warp_scheduler="gto"), StreamingWorkload()
-            )
-            return lrr, gto
-
-        lrr, gto = run_once(benchmark, run_pair)
+    def test_lrr_vs_gto(self, show):
+        lrr = run_workload(
+            SystemConfig(num_sms=2, warp_scheduler="lrr"), StreamingWorkload()
+        )
+        gto = run_workload(
+            SystemConfig(num_sms=2, warp_scheduler="gto"), StreamingWorkload()
+        )
         show(
             "scheduler ablation: LRR %d cycles vs GTO %d cycles"
             % (lrr.cycles, gto.cycles)

@@ -1,27 +1,18 @@
-"""Campaign benchmark: the full fleet cross-product as one timed batch.
+"""The stock fleet campaign: the full cross-product, plain and replay-first.
 
-Runs the stock workload-fleet campaign (5 workloads x 2 hierarchies x
-2 protocols) through the executor; the conftest's record hook turns every
-cell into a BENCH_engine.json perf-trajectory row, so campaign scenarios
-are guarded by the CI perf gate alongside the fig-6.x rows.
-
-A second benchmark measures the *replay-first* path: the same campaign
-planned into record + replay cells, timed cold against the plain serial
-run, published as the ``campaign_cells`` section of BENCH_engine.json
-(cells/min plus the executed / replayed / cached split) and gated by
-``perf_gate.py`` alongside the per-scenario rows.
+Runs the workload-fleet campaign (5 workloads x 2 hierarchies x
+2 protocols) through the executor, then again planned into record +
+replay cells (the scheduling ``repro campaign --plan`` / ``--workers``
+uses), and checks that every cell of both completes and attributes its
+cycles.
 """
-
-import time
 
 from repro.experiments.campaign import default_campaign, run_campaign
 
-from benchmarks.conftest import run_once
 
-
-def test_fleet_campaign_matrix(benchmark, show):
+def test_fleet_campaign_matrix(show, sim_cache):
     spec = default_campaign(fast=False)
-    result = run_once(benchmark, lambda: run_campaign(spec))
+    result = run_campaign(spec, cache_dir=sim_cache)
     show(result.render())
     w, h, p = spec.shape()
     assert len(result.records) == w * h * p == 20
@@ -32,24 +23,13 @@ def test_fleet_campaign_matrix(benchmark, show):
         assert record.result.breakdown.total_cycles > 0
 
 
-def test_fleet_campaign_replay_first_throughput(
-    benchmark, show, tmp_path, bench_section, pause_scenario_recording
-):
-    """Cold planned (record + replay) vs cold serial campaign throughput."""
+def test_fleet_campaign_replay_first(show, tmp_path, sim_cache):
+    """The planned campaign runs cold: the session cache would serve its
+    cells and leave nothing to replay."""
     spec = default_campaign(fast=False)
     cells = len(spec.scenarios())
-
-    t0 = time.perf_counter()
-    serial = run_campaign(spec, jobs=1)
-    serial_s = time.perf_counter() - t0
-
-    planned = run_once(
-        benchmark,
-        lambda: run_campaign(
-            spec, jobs=1, plan=True, trace_dir=str(tmp_path / "traces")
-        ),
-    )
-    planned_s = benchmark.stats.stats.total
+    serial = run_campaign(spec, cache_dir=sim_cache)
+    planned = run_campaign(spec, plan=True, trace_dir=str(tmp_path / "traces"))
 
     assert len(planned.records) == len(serial.records) == cells
     assert all(r.ok for r in planned.records)
@@ -57,38 +37,6 @@ def test_fleet_campaign_replay_first_throughput(
     # replay keeps the memory-side attribution live in every cell
     for record in planned.records:
         assert record.result.cycles > 0
-
-    def leg(result, wall_s):
-        return {
-            "wall_clock_s": round(wall_s, 6),
-            "cells_per_min": round(60.0 * cells / wall_s, 1) if wall_s else None,
-            "executed": sum(
-                1 for r in result.records
-                if not r.cached and r.scenario.workload != "trace"
-            ),
-            "replayed": result.replayed_count,
-            "cached": sum(1 for r in result.records if r.cached),
-        }
-
-    section = {
-        "campaign": spec.name,
-        "cells": cells,
-        "planned": leg(planned, planned_s),
-        "serial": leg(serial, serial_s),
-        "speedup": round(serial_s / planned_s, 3) if planned_s else None,
-    }
-    bench_section("campaign_cells", section)
     show(
-        "replay-first: %d cells in %.2fs (%.0f cells/min, %d executed + %d "
-        "replayed) vs serial %.2fs (%.0f cells/min) -- %.2fx"
-        % (
-            cells,
-            planned_s,
-            section["planned"]["cells_per_min"],
-            section["planned"]["executed"],
-            section["planned"]["replayed"],
-            serial_s,
-            section["serial"]["cells_per_min"],
-            section["speedup"],
-        )
+        "replay-first: %d cells, %d replayed" % (cells, planned.replayed_count)
     )

@@ -9,11 +9,11 @@ remote-L1 data stalls from request redirection.
 
 from repro.experiments.figures import fig61
 
-from benchmarks.conftest import UTS_NODES, run_once
+from benchmarks.conftest import UTS_NODES
 
 
-def test_fig61_uts_breakdowns(benchmark, show):
-    result = run_once(benchmark, lambda: fig61(total_nodes=UTS_NODES))
+def test_fig61_uts_breakdowns(show, sim_cache):
+    result = fig61(total_nodes=UTS_NODES, cache_dir=sim_cache)
     show(result.render())
     failed = [c for c in result.claims if not c.holds]
     assert not failed, "shape deviations: %s" % [str(c) for c in failed]

@@ -9,13 +9,12 @@ remote-L1 stalls virtually disappear.
 
 from repro.experiments.figures import fig62
 
-from benchmarks.conftest import UTS_NODES, run_once
+from benchmarks.conftest import UTS_NODES
 
 
-def test_fig62_utsd_breakdowns(benchmark, show):
-    result = run_once(
-        benchmark,
-        lambda: fig62(total_nodes=UTS_NODES, include_uts_reference=True),
+def test_fig62_utsd_breakdowns(show, sim_cache):
+    result = fig62(
+        total_nodes=UTS_NODES, include_uts_reference=True, cache_dir=sim_cache
     )
     show(result.render())
     failed = [c for c in result.claims if not c.holds]

@@ -10,16 +10,13 @@ the DMA configuration.
 
 from repro.experiments.figures import fig63
 
-from benchmarks.conftest import IMPLICIT_TBS, IMPLICIT_WARPS, run_once
+from benchmarks.conftest import IMPLICIT_TBS, IMPLICIT_WARPS
 
 
-def test_fig63_implicit_breakdowns(benchmark, show):
-    result = run_once(
-        benchmark,
-        lambda: fig63(num_tbs=IMPLICIT_TBS, warps_per_tb=IMPLICIT_WARPS),
+def test_fig63_implicit_breakdowns(show, sim_cache):
+    result = fig63(
+        num_tbs=IMPLICIT_TBS, warps_per_tb=IMPLICIT_WARPS, cache_dir=sim_cache
     )
     show(result.render())
-    # "stash increases memory structural stalls over the baseline" is the
-    # one soft claim at this scale (see EXPERIMENTS.md); require the rest.
     failed = [c for c in result.claims if not c.holds]
     assert not failed, "shape deviations: %s" % [str(c) for c in failed]

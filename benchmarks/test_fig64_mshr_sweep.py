@@ -11,17 +11,15 @@ the bottleneck.
 from repro.core.stall_types import MemStructCause, StallType
 from repro.experiments.figures import fig64
 
-from benchmarks.conftest import IMPLICIT_TBS, IMPLICIT_WARPS, run_once
+from benchmarks.conftest import IMPLICIT_TBS, IMPLICIT_WARPS
 
 
-def test_fig64_mshr_sensitivity(benchmark, show):
-    sweep = run_once(
-        benchmark,
-        lambda: fig64(
-            mshr_sizes=(32, 64, 128, 256),
-            num_tbs=IMPLICIT_TBS,
-            warps_per_tb=IMPLICIT_WARPS,
-        ),
+def test_fig64_mshr_sensitivity(show, sim_cache):
+    sweep = fig64(
+        mshr_sizes=(32, 64, 128, 256),
+        num_tbs=IMPLICIT_TBS,
+        warps_per_tb=IMPLICIT_WARPS,
+        cache_dir=sim_cache,
     )
     lines = ["MSHR sweep (cycles / full-MSHR / mem-data / pending-DMA):"]
     for size, result in sweep.items():

@@ -1,23 +1,19 @@
 """Hierarchy shapes: fig 6.1's UTS workload across non-default fabrics.
 
-One BENCH_engine.json row per shape (shared L3, private per-SM L2, L1
-bypass) next to the default-shape fig6.1 rows, so the perf trajectory
-tracks the generic fabric hot path on every topology it can elaborate --
-a wall-clock regression in the multi-level probe machinery (walked on
-every L1 miss of the private-l2 and shared-l3 rows) shows up here even
-when the default machine's special-cased paths hide it.  UTS's per-SM
-working set is too small to force L1 evictions, so the *spill/deep-hit
-correctness* of the stack is guarded by the deterministic forced-eviction
-tests in tests/test_hierarchy.py, not by these rows.
+Runs the default shape next to a shared L3, private per-SM L2s and an L1
+bypass, and checks the grid's claims.  UTS's per-SM working set is too
+small to force L1 evictions, so the *spill/deep-hit correctness* of the
+stack is guarded by the deterministic forced-eviction tests in
+tests/test_hierarchy.py, not here.
 """
 
 from repro.experiments.figures import fig_hierarchy
 
-from benchmarks.conftest import UTS_NODES, run_once
+from benchmarks.conftest import UTS_NODES
 
 
-def test_hierarchy_shapes_grid(benchmark, show):
-    result = run_once(benchmark, lambda: fig_hierarchy(total_nodes=UTS_NODES))
+def test_hierarchy_shapes_grid(show, sim_cache):
+    result = fig_hierarchy(total_nodes=UTS_NODES, cache_dir=sim_cache)
     show(result.render())
     failed = [c for c in result.claims if not c.holds]
     assert not failed, "shape deviations: %s" % [str(c) for c in failed]

@@ -323,44 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="only remove orphan *.tmp.* files "
                                         "older than this (default: 3600)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="re-measure the perf trajectory (BENCH_engine.json) in place",
-    )
-    bench.add_argument(
-        "groups", nargs="*", metavar="GROUP",
-        help="scenario groups to measure (default: all); see --list")
-    bench.add_argument("--list", action="store_true", dest="list_groups",
-                       help="list the scenario groups and exit")
-    bench.add_argument("--key", action="append", default=[], metavar="SUBSTR",
-                       dest="keys",
-                       help="keep only rows whose scenario key or display "
-                            "name contains SUBSTR (repeatable)")
-    bench.add_argument("--artifact", metavar="FILE",
-                       default="benchmarks/artifacts/BENCH_engine.json",
-                       help="committed trajectory to diff (and --update) "
-                            "against")
-    bench.add_argument("--update", action="store_true",
-                       help="merge the fresh rows into the artifact")
-    bench.add_argument("--rounds", type=int, default=1, metavar="N",
-                       help="measure each group N times and keep, per "
-                            "scenario, the round with the best cycles/sec "
-                            "(the simulation is deterministic, so the "
-                            "spread is pure host jitter; use 3+ before "
-                            "--update so a transient stall never becomes "
-                            "the committed baseline; default: 1)")
-    bench.add_argument("--max-drift", type=float, default=2.0,
-                       metavar="FACTOR", dest="max_drift",
-                       help="with --update: refuse to write rows whose "
-                            "cycles/sec deviates from the committed row by "
-                            "more than FACTOR in either direction -- such "
-                            "outliers are usually one-off host stalls, and "
-                            "committing one corrupts the perf-gate "
-                            "baseline (0 disables; default: 2.0)")
-    bench.add_argument("--force", action="store_true",
-                       help="with --update: write rows beyond --max-drift "
-                            "anyway (a real engine change, not a stall)")
-
     run = sub.add_parser("run", help="run one workload and print the breakdown")
     _add_sim_options(run)
     run.add_argument("--timeline", default=None, metavar="CYCLES|OUT.trace.json",
@@ -476,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rquery.add_argument("sql", nargs="?", default=None,
                         help="SQL to run (tables: runs, breakdown, stats, "
-                             "claims, campaign_cells, bench_rows, "
+                             "claims, campaign_cells, e2e_metrics, "
                              "telemetry_series, artifacts, ingests, ...)")
     rquery.add_argument("--db", metavar="FILE", default="results.db")
     rquery.add_argument("--json", action="store_true", dest="as_json",
@@ -764,108 +726,6 @@ def _parse_override(text: str):
     except ValueError:
         value = raw  # bare strings (e.g. protocol=denovo)
     return field.strip(), value
-
-
-def cmd_bench(args) -> int:
-    """Re-measure the engine perf trajectory and diff it against the
-    committed ``BENCH_engine.json`` (see benchmarks/README.md)."""
-    from repro.experiments import bench
-
-    if args.list_groups:
-        for name in bench.GROUPS:
-            print(name)
-        return 0
-    groups = args.groups or list(bench.GROUPS)
-    unknown = [g for g in groups if g not in bench.GROUPS]
-    if unknown:
-        print(
-            "error: unknown group(s) %s (try: repro bench --list)"
-            % ", ".join(unknown),
-            file=sys.stderr,
-        )
-        return 2
-    if args.rounds < 1:
-        print("error: --rounds must be >= 1", file=sys.stderr)
-        return 2
-    if args.max_drift and args.max_drift < 1:
-        print("error: --max-drift must be 0 (disabled) or >= 1",
-              file=sys.stderr)
-        return 2
-    section = "scenarios"
-    print(
-        "bench: measuring %s%s"
-        % (
-            ", ".join(groups),
-            " (best of %d rounds)" % args.rounds if args.rounds > 1 else "",
-        )
-    )
-    rows = bench.measure(groups, rounds=args.rounds)
-    if args.keys:
-        rows = [
-            r
-            for r in rows
-            if any(k in r["key"] or k in r["scenario"] for k in args.keys)
-        ]
-        if not rows:
-            print("error: no measured row matches --key filter(s)",
-                  file=sys.stderr)
-            return 2
-    committed = {
-        e.get("key", e.get("scenario")): e
-        for e in bench.load_section(args.artifact, section)
-    }
-    print("%d row(s) measured (%s section):" % (len(rows), section))
-    for r in sorted(rows, key=lambda e: (e["workload"], e["scenario"])):
-        base = committed.get(r["key"])
-        if base and base.get("cycles_per_sec"):
-            delta = "%+6.1f%% vs committed %10.1f cyc/s" % (
-                100.0 * (r["cycles_per_sec"] / base["cycles_per_sec"] - 1.0),
-                base["cycles_per_sec"],
-            )
-        else:
-            delta = "(new row)"
-        print(
-            "  %-45s %10.1f cyc/s  %s" % (r["scenario"], r["cycles_per_sec"], delta)
-        )
-    if args.update:
-        # Drift guard: a fresh row far outside the committed value is far
-        # more likely a transient host stall (or a mis-configured run)
-        # than a real engine change, and writing it would corrupt the
-        # perf-gate baseline -- a genuine future regression on that row
-        # would then pass CI.  Refuse unless --force.
-        drifted = []
-        if args.max_drift:
-            for r in rows:
-                base = committed.get(r["key"])
-                if not (base and base.get("cycles_per_sec")
-                        and r.get("cycles_per_sec")):
-                    continue
-                ratio = r["cycles_per_sec"] / base["cycles_per_sec"]
-                if not (1.0 / args.max_drift <= ratio <= args.max_drift):
-                    drifted.append((r, base, ratio))
-        if drifted and not args.force:
-            print(
-                "error: %d row(s) drift beyond %.1fx of the committed "
-                "value; not updating %s"
-                % (len(drifted), args.max_drift, args.artifact),
-                file=sys.stderr,
-            )
-            for r, base, ratio in drifted:
-                print(
-                    "  %-45s %10.1f vs committed %10.1f cyc/s (%5.2fx)"
-                    % (r["scenario"], r["cycles_per_sec"],
-                       base["cycles_per_sec"], ratio),
-                    file=sys.stderr,
-                )
-            print(
-                "  transient stall? re-measure with --rounds 3; real "
-                "engine change? re-run with --force",
-                file=sys.stderr,
-            )
-            return 1
-        bench.merge_rows(args.artifact, section, rows)
-        print("updated %s section of %s" % (section, args.artifact))
-    return 0
 
 
 def cmd_trace(args) -> int:
@@ -1165,8 +1025,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_worker(args)
     if args.command == "cache":
         return cmd_cache(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     if args.command == "trace":
         return cmd_trace(args)
     if args.command == "telemetry":

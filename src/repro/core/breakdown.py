@@ -91,22 +91,6 @@ class StallBreakdown:
             raise ValueError("baseline breakdown has zero cycles")
         return {s: self.counts[s] / base for s in StallType}
 
-    def mem_data_normalized_to(
-        self, baseline: "StallBreakdown"
-    ) -> dict[ServiceLocation, float]:
-        base = sum(baseline.mem_data.values())
-        if base == 0:
-            return {l: 0.0 for l in ServiceLocation}
-        return {l: self.mem_data[l] / base for l in ServiceLocation}
-
-    def mem_struct_normalized_to(
-        self, baseline: "StallBreakdown"
-    ) -> dict[MemStructCause, float]:
-        base = sum(baseline.mem_struct.values())
-        if base == 0:
-            return {c: 0.0 for c in MemStructCause}
-        return {c: self.mem_struct[c] / base for c in MemStructCause}
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, dict[str, int]]:
         return {

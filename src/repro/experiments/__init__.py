@@ -14,8 +14,6 @@
   (record one cell per frontend-identity group, replay the rest).
 * :mod:`repro.experiments.dispatch` -- the filesystem-backed
   distributed campaign queue (``repro campaign --workers/--queue``).
-* :mod:`repro.experiments.bench` -- the benchmark scenario catalog
-  behind ``repro bench`` and the perf trajectory.
 * :mod:`repro.experiments.cachetool` -- result-cache maintenance
   (``repro cache info|verify|prune``).
 

@@ -393,7 +393,8 @@ def run_campaign(
     ``plan=True`` routes the cells through the replay-first planner
     (:mod:`repro.experiments.plan`): each frontend-identity group records
     one trace into ``trace_dir`` and serves its memory-side sweep cells as
-    replays, 3.1-3.4x faster per cell than full execution.
+    replays, 1.66-2.47x faster per cell than full execution on fig 6.1's
+    120-node UTS cell (three runs, 2-vCPU host).
 
     ``results_db`` names a SQLite results database
     (:class:`repro.results.db.ResultsDB`) to ingest the finished campaign

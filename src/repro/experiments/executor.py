@@ -27,8 +27,8 @@ from repro.system import SimResult, run_workload
 #: cache format version; bump when the result payload shape changes
 CACHE_VERSION = 1
 
-#: observer called with each ScenarioRecord as it is produced (the benchmark
-#: harness hooks this to build per-scenario wall-clock artifacts)
+#: observer called with each ScenarioRecord as it is produced (the
+#: end-to-end benchmark's driver hooks it to time each cell)
 record_hook: Callable[["ScenarioRecord"], None] | None = None
 
 

@@ -90,10 +90,6 @@ class ExperimentResult:
         parts += ["  %s" % c for c in self.claims]
         return "\n".join(parts)
 
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.claims)
-
     # --- machine-readable exports --------------------------------------
     def to_dict(self) -> dict:
         """JSON-ready form; what ``--format json`` and ``--out`` emit."""

@@ -31,9 +31,6 @@ class ComputeUnits(Component):
         self.sfu_rejections = self.stat_counter("sfu_rejections")
 
     # ------------------------------------------------------------------
-    def alu_ready(self, now: int) -> bool:
-        return True  # fully pipelined
-
     def sfu_ready(self, now: int) -> bool:
         return now >= self._sfu_free_at
 
@@ -51,6 +48,3 @@ class ComputeUnits(Component):
 
     def note_sfu_rejection(self) -> None:
         self.sfu_rejections.value += 1
-
-    def sfu_free_at(self) -> int:
-        return self._sfu_free_at

@@ -354,7 +354,7 @@ def example_shapes(config=None) -> "dict[str, dict]":
     """The three canonical non-default shapes (as config-override dicts).
 
     Shared by the figure grid (:func:`repro.experiments.figures.fig_hierarchy`),
-    the benchmark rows, ``examples/hierarchy_shapes_study.py`` and the CI
+    the benchmark test, ``examples/hierarchy_shapes_study.py`` and the CI
     smoke job, so they all sweep the *same* machines:
 
     * ``shared-l3``  -- a 2x-capacity shared L3 inserted behind the L2;

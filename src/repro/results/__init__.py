@@ -1,19 +1,16 @@
 """Results database + programmatic report (``repro report``).
 
 The repo's answer to "regenerate and diff the whole paper in one
-command".  Three modules:
+command".  Two modules:
 
-* :mod:`repro.results.bench_io` -- the one loader/merger for
-  ``BENCH_engine.json`` perf-trajectory artifacts (shared by ``repro
-  bench``, the CI perf gate and the benchmark session flush).
 * :mod:`repro.results.db` -- :class:`ResultsDB`, a SQLite ingestion
   layer over every artifact the repo produces: executor ``.sim-cache``
-  entries, figure/campaign results, bench sections, telemetry JSONL
-  series, golden files -- with provenance (git SHA, engine core, python
-  version, content hashes) on every ingest.
+  entries, figure/campaign results, end-to-end benchmark records,
+  telemetry JSONL series, golden files -- with provenance (git SHA,
+  python version, content hashes) on every ingest.
 * :mod:`repro.results.report_gen` -- regenerates the full fig6.x set,
-  the campaign stall-attribution matrix and the perf trajectory as one
-  versioned report (Markdown + LaTeX + JSON) with a SHA-256 manifest,
+  the campaign stall-attribution matrix and the benchmark baseline's
+  medians as one versioned report (Markdown + LaTeX + JSON) with a SHA-256 manifest,
   so a rebuilt report is byte-diffable against the committed
   ``docs/report/``.
 

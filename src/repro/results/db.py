@@ -1,17 +1,17 @@
 """One queryable SQLite database over every artifact the repo produces.
 
 Every number this repository emits -- fig6.x breakdowns, campaign stall
-matrices, ``BENCH_engine.json`` trajectory rows, telemetry series, golden
+matrices, end-to-end benchmark records, telemetry series, golden
 outputs, raw ``.sim-cache`` entries -- lives in a flat JSON/CSV/JSONL
 file somewhere.  :class:`ResultsDB` ingests all of them into one SQLite
 file with a stable relational schema, so "what did fig6.2 measure for
-DeNovo", "which campaign cells are MEM_DATA-dominated" or "how did
-cycles/sec move across commits" become one ``SELECT`` instead of a
-directory crawl, and the report generator
+DeNovo", "which campaign cells are MEM_DATA-dominated" or "what wall
+time does the benchmark baseline give uts-exec" become one ``SELECT``
+instead of a directory crawl, and the report generator
 (:mod:`repro.results.report_gen`) can regenerate the whole paper from a
 single source.
 
-Schema (``SCHEMA_VERSION`` 2) -- see ``docs/ARTIFACTS.md`` for the
+Schema (``SCHEMA_VERSION`` 3) -- see ``docs/ARTIFACTS.md`` for the
 source formats each table is fed from:
 
 * ``ingests`` -- provenance, one row per ingestion call: source kind and
@@ -28,16 +28,18 @@ source formats each table is fed from:
   (``l1.sm0.load_hits`` style dotted paths).
 * ``campaign_cells`` -- the stall-attribution matrix, one row per
   workload x hierarchy x protocol cell.
-* ``bench_rows`` / ``bench_sections`` -- the perf trajectory
-  (``BENCH_engine.json`` scenario rows and named sections).
+* ``e2e_metrics`` -- end-to-end benchmark run records
+  (``benchmarks/e2e/run.py --out`` / ``collect.py`` files), one row per
+  record x end-to-end metric.
 * ``telemetry_series`` / ``telemetry_samples`` -- sampled stat
   time-series (one row per series; one row per sample x column).
 * ``artifacts`` -- content hashes of byte-exact source files (goldens,
   campaign text/CSV artifacts, trace files): the reproducibility ledger.
 
 Writes are idempotent per identity (re-ingesting an experiment, cell,
-bench row or series replaces the previous rows), so the database can be
-rebuilt from scratch or refreshed incrementally with the same result.
+benchmark file or series replaces the previous rows), so the database
+can be rebuilt from scratch or refreshed incrementally with the same
+result.
 """
 
 from __future__ import annotations
@@ -49,9 +51,7 @@ import sqlite3
 import subprocess
 import sys
 
-from repro.results import bench_io
-
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -129,22 +129,17 @@ CREATE TABLE IF NOT EXISTS campaign_cells (
     ingest_id INTEGER,
     PRIMARY KEY (campaign, cell)
 );
-CREATE TABLE IF NOT EXISTS bench_rows (
-    section TEXT NOT NULL,
-    key TEXT NOT NULL,
-    scenario TEXT,
+CREATE TABLE IF NOT EXISTS e2e_metrics (
+    source TEXT NOT NULL,
+    record INTEGER NOT NULL,
     workload TEXT,
-    cycles INTEGER,
-    engine_events INTEGER,
-    wall_clock_s REAL,
-    cycles_per_sec REAL,
+    seed INTEGER,
+    correct INTEGER,
+    metric TEXT NOT NULL,
+    unit TEXT,
+    value REAL,
     ingest_id INTEGER,
-    PRIMARY KEY (section, key)
-);
-CREATE TABLE IF NOT EXISTS bench_sections (
-    name TEXT PRIMARY KEY,
-    payload TEXT,
-    ingest_id INTEGER
+    PRIMARY KEY (source, record, metric)
 );
 CREATE TABLE IF NOT EXISTS telemetry_series (
     id INTEGER PRIMARY KEY,
@@ -395,42 +390,30 @@ class ResultsDB:
         self._conn.commit()
         return count
 
-    def ingest_bench(self, path: str) -> int:
-        """Ingest a ``BENCH_engine.json`` perf trajectory: every scenario
-        section row plus named extra sections (``campaign_cells``)."""
-        ingest_id = self._begin_ingest("bench", path)
-        payload = bench_io.load_artifact(path)
-        count = 0
-        for section in bench_io.SCENARIO_SECTIONS:
-            for row in payload.get(section, []):
-                key = row.get("key") or row.get("scenario")
-                if not key:
-                    continue
+    def ingest_e2e(self, path: str) -> int:
+        """Ingest a file of end-to-end benchmark run records (one record
+        or a list, as ``benchmarks/e2e/compare.py`` reads them): one row
+        per record and metric.  Returns the number of records."""
+        ingest_id = self._begin_ingest("e2e", path)
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        records = payload if isinstance(payload, list) else [payload]
+        self._conn.execute("DELETE FROM e2e_metrics WHERE source = ?", (path,))
+        for idx, record in enumerate(records):
+            for metric, reading in sorted(record.get("metrics", {}).items()):
                 self._conn.execute(
-                    "INSERT OR REPLACE INTO bench_rows (section, key, scenario,"
-                    " workload, cycles, engine_events, wall_clock_s,"
-                    " cycles_per_sec, ingest_id)"
+                    "INSERT INTO e2e_metrics (source, record, workload, seed,"
+                    " correct, metric, unit, value, ingest_id)"
                     " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
-                        section, key, row.get("scenario"), row.get("workload"),
-                        row.get("cycles"), row.get("engine_events"),
-                        row.get("wall_clock_s"), row.get("cycles_per_sec"),
-                        ingest_id,
+                        path, idx, record.get("workload"), record.get("seed"),
+                        int(bool(record.get("correct"))), metric,
+                        reading.get("unit"), reading.get("value"), ingest_id,
                     ),
                 )
-                count += 1
-        for name, value in payload.items():
-            if name in bench_io.SCENARIO_SECTIONS or name == "unit":
-                continue
-            self._conn.execute(
-                "INSERT OR REPLACE INTO bench_sections (name, payload,"
-                " ingest_id) VALUES (?, ?, ?)",
-                (name, json.dumps(value, sort_keys=True), ingest_id),
-            )
-        if os.path.exists(path):
-            self._record_artifact(path, "bench", ingest_id)
+        self._record_artifact(path, "e2e", ingest_id)
         self._conn.commit()
-        return count
+        return len(records)
 
     def ingest_telemetry(self, path: str) -> int:
         """Ingest telemetry JSONL series: one file, or every ``*.jsonl``

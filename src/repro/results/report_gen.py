@@ -14,7 +14,8 @@ repro.experiments``), ingests every result into a
 plus ``MANIFEST.sha256`` -- sha256sum-compatible content hashes of the
 three files.  Every value that reaches a report file is deterministic:
 simulation outputs are byte-identical by engine contract, the perf
-trajectory is read from the *committed* ``BENCH_engine.json``, and all
+section reads the end-to-end benchmark's *committed* baseline records
+(``benchmarks/e2e/baseline/run-1.json``), and all
 volatile provenance (wall clocks, cache hits, git SHA, timestamps)
 stays in the database only.  Building twice therefore yields identical
 bytes, and CI can ``cmp`` a fresh manifest against the committed
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 
 from repro.results.db import ResultsDB, file_sha256
 
@@ -49,7 +51,7 @@ MANIFEST_NAME = "MANIFEST.sha256"
 #: repro.core.report.MATRIX_COLUMNS)
 _ATTR_COLUMNS = ("no_stall", "mem_data", "mem_struct", "sync", "compute", "other")
 
-DEFAULT_BENCH = os.path.join("benchmarks", "artifacts", "BENCH_engine.json")
+DEFAULT_BASELINE = os.path.join("benchmarks", "e2e", "baseline", "run-1.json")
 DEFAULT_GOLDENS = os.path.join("benchmarks", "artifacts", "goldens")
 
 
@@ -64,15 +66,16 @@ def build(
     jobs: int = 1,
     cache_dir: str | None = None,
     experiments: "list[str] | None" = None,
-    bench_path: str = DEFAULT_BENCH,
+    baseline_path: str = DEFAULT_BASELINE,
     goldens_dir: str = DEFAULT_GOLDENS,
 ) -> dict:
     """Regenerate, ingest and render the full report into ``out_dir``.
 
     Returns ``{"files": [...], "manifest": path, "experiments": [...]}``.
     ``experiments`` restricts the set (names from
-    :data:`REPORT_EXPERIMENTS`); the committed bench artifact and golden
-    outputs are ingested when present and skipped silently otherwise.
+    :data:`REPORT_EXPERIMENTS`); the committed benchmark baseline and
+    golden outputs are ingested when present and skipped silently
+    otherwise.
     """
     from repro.experiments import runner
 
@@ -102,12 +105,14 @@ def build(
             db.ingest_experiment(result)
             db_names.append(result.experiment)
 
-    if os.path.exists(bench_path):
-        db.ingest_bench(bench_path)
+    baseline = None
+    if os.path.exists(baseline_path):
+        db.ingest_e2e(baseline_path)
+        baseline = baseline_path
     if os.path.isdir(goldens_dir):
         db.ingest_artifact_files(goldens_dir, "golden")
 
-    doc = collect(db, db_names, campaign_name, fast)
+    doc = collect(db, db_names, campaign_name, fast, baseline)
     os.makedirs(out_dir, exist_ok=True)
     files = []
     for filename, payload in (
@@ -132,6 +137,7 @@ def collect(
     db_names: list[str],
     campaign_name: str | None,
     fast: bool,
+    baseline: str | None,
 ) -> dict:
     """Assemble the JSON document model from database queries only --
     the round-trip that proves every reported number is recoverable."""
@@ -142,7 +148,7 @@ def collect(
         "experiments": [_collect_experiment(db, name) for name in db_names],
         "campaign": _collect_campaign(db, campaign_name)
         if campaign_name else None,
-        "bench": _collect_bench(db),
+        "bench": _collect_perf(db, baseline) if baseline else None,
         "goldens": [
             {"path": path, "sha256": sha, "bytes": size}
             for path, sha, size in db.query(
@@ -215,34 +221,28 @@ def _collect_campaign(db: ResultsDB, name: str) -> dict:
     return {"name": name, "cells": cells}
 
 
-def _collect_bench(db: ResultsDB) -> "dict | None":
-    from repro.results import bench_io
-
-    sections: dict = {}
-    for section in bench_io.SCENARIO_SECTIONS:
-        _, rows = db.query(
-            "SELECT scenario, workload, key, cycles, engine_events,"
-            " wall_clock_s, cycles_per_sec FROM bench_rows"
-            " WHERE section = ? ORDER BY workload, scenario, key", (section,)
-        )
-        if rows:
-            sections[section] = [
-                {"scenario": r[0], "workload": r[1], "key": r[2],
-                 "cycles": r[3], "engine_events": r[4],
-                 "wall_clock_s": r[5], "cycles_per_sec": r[6]}
-                for r in rows
-            ]
-    _, extra = db.query(
-        "SELECT payload FROM bench_sections WHERE name = 'campaign_cells'"
+def _collect_perf(db: ResultsDB, source: str) -> dict:
+    """Per-workload medians of every end-to-end metric in one benchmark
+    file (the statistic ``benchmarks/e2e/compare.py`` compares)."""
+    _, rows = db.query(
+        "SELECT workload, metric, unit, value FROM e2e_metrics"
+        " WHERE source = ? ORDER BY workload, metric, record", (source,)
     )
-    campaign_cells = json.loads(extra[0][0]) if extra else None
-    if not sections and campaign_cells is None:
-        return None
+    readings: dict = {}
+    for workload, metric, unit, value in rows:
+        readings.setdefault((workload, metric, unit), []).append(value)
     return {
-        "unit": bench_io.UNIT,
-        "sections": sections,
-        "campaign_cells": campaign_cells,
+        "source": source,
+        "medians": [
+            {"workload": workload, "metric": metric, "unit": unit,
+             "runs": len(values), "median": statistics.median(values)}
+            for (workload, metric, unit), values in readings.items()
+        ],
     }
+
+
+def _num(value: float) -> str:
+    return "%.0f" % value if abs(value) >= 1000 else "%.4g" % value
 
 
 # ---------------------------------------------------------------------------
@@ -315,31 +315,16 @@ def render_markdown(doc: dict) -> str:
         )
     bench = doc.get("bench")
     if bench:
-        lines += ["", "## perf trajectory", "",
-                  "Unit: %s (committed `BENCH_engine.json`)." % bench["unit"]]
-        for section, rows in sorted(bench["sections"].items()):
-            lines += ["", "### %s" % section, ""]
-            lines += _md_table(
-                ["scenario", "workload", "cycles", "engine events",
-                 "cycles/sec"],
-                [[r["scenario"], r["workload"], r["cycles"],
-                  r["engine_events"], "%.0f" % r["cycles_per_sec"]]
-                 for r in rows],
-            )
-        cells = bench.get("campaign_cells")
-        if cells:
-            lines += ["", "### campaign throughput", ""]
-            rows = []
-            for leg in ("planned", "serial"):
-                info = cells.get(leg) or {}
-                if info.get("cells_per_min"):
-                    rows.append([
-                        leg, "%.0f" % info["cells_per_min"],
-                        info.get("executed", ""), info.get("replayed", ""),
-                    ])
-            lines += _md_table(
-                ["leg", "cells/min", "executed", "replayed"], rows
-            )
+        lines += [
+            "", "## perf trajectory", "",
+            "Per-workload medians of the end-to-end benchmark's committed"
+            " baseline records (`%s`)." % bench["source"], "",
+        ]
+        lines += _md_table(
+            ["workload", "metric", "unit", "runs", "median"],
+            [[m["workload"], m["metric"], m["unit"], m["runs"], _num(m["median"])]
+             for m in bench["medians"]],
+        )
     if doc.get("goldens"):
         lines += ["", "## golden outputs", "",
                   "Byte-identity anchors (SHA-256 of the committed files).", ""]
@@ -423,15 +408,13 @@ def render_latex(doc: dict) -> str:
     bench = doc.get("bench")
     if bench:
         lines += ["", r"\subsection*{perf trajectory}",
-                  "Unit: %s." % _tex(bench["unit"])]
-        for section, rows in sorted(bench["sections"].items()):
-            lines += ["", r"\paragraph{%s}" % _tex(section)]
-            lines += _tex_table(
-                ["scenario", "cycles", "cycles/sec"],
-                [[r["scenario"], r["cycles"], "%.0f" % r["cycles_per_sec"]]
-                 for r in rows],
-                "lrr",
-            )
+                  r"Per-workload medians of \texttt{%s}." % _tex(bench["source"])]
+        lines += _tex_table(
+            ["workload", "metric", "unit", "median"],
+            [[m["workload"], m["metric"], m["unit"], _num(m["median"])]
+             for m in bench["medians"]],
+            "lllr",
+        )
     lines += [r"\end{document}"]
     return "\n".join(lines) + "\n"
 

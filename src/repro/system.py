@@ -285,9 +285,6 @@ class System(Component):
 
         return dispatch
 
-    def sm_l1(self, sm_id: int) -> L1Controller:
-        return self.sms[sm_id].l1
-
     # ------------------------------------------------------------------
     def run(self, workload) -> SimResult:
         """Build the workload's kernel, run it to completion, return GSI's

@@ -8,10 +8,6 @@ simulator computes fails here, with the scenario named.  Fix the change,
 or regenerate the corpus with ``tests/core_digests.py --force`` only if
 the new behaviour is intended (and the fig6.x goldens are regenerated
 with it).
-
-The module and test names date from when this file checked two SM
-frontends against each other; there is one now, and the names are kept
-so the test ids stay stable.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ CORPUS = load_corpus()
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=[s.name for s in SCENARIOS])
-def test_fast_core_matches_python_oracle(scenario) -> None:
+def test_simulation_matches_the_digest_corpus(scenario) -> None:
     entry = simulate(scenario)
     old = CORPUS.get(scenario.name)
     assert entry == old, describe_change(scenario.name, old, entry)

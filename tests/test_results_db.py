@@ -1,7 +1,7 @@
 """Round-trip tests for the results database and report generator.
 
-Every ingestion path (executor records, campaign matrices, bench
-artifacts, telemetry series, raw cache entries) is fed from a real tiny
+Every ingestion path (executor records, campaign matrices, benchmark
+records, telemetry series, raw cache entries) is fed from a real tiny
 simulation and then queried back out, asserting the source numbers are
 recoverable by SQL.  The report half proves the headline contract:
 ``repro report build`` twice is byte-identical (manifest-equal), and the
@@ -97,7 +97,7 @@ class TestIngestRecords:
             _, version = db.query(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             )
-            assert version == [("2",)]
+            assert version == [("3",)]
 
     def test_executor_results_db_hook(self, tmp_path):
         db_path = str(tmp_path / "hook.db")
@@ -146,7 +146,7 @@ class TestIngestCampaign:
 
 
 # ---------------------------------------------------------------------------
-# file ingestion: cache entries, bench artifacts, telemetry series
+# file ingestion: cache entries, benchmark records, telemetry series
 # ---------------------------------------------------------------------------
 
 class TestIngestFiles:
@@ -169,33 +169,37 @@ class TestIngestFiles:
             with pytest.raises(ValueError, match="cache directory"):
                 db.ingest_cache_dir(str(tmp_path / "nope"))
 
-    def test_bench_round_trip(self, tmp_path):
-        artifact = {
-            "unit": "simulated GPU cycles per host second",
-            "scenarios": [
-                {"scenario": "s1", "key": "k1", "workload": "uts",
-                 "cycles": 1000, "engine_events": 5000,
-                 "wall_clock_s": 2.0, "cycles_per_sec": 500.0},
-            ],
-            "campaign_cells": {"campaign": "fleet",
-                               "planned": {"cells_per_min": 900.0}},
-        }
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps(artifact))
+    def test_e2e_round_trip(self, tmp_path):
+        def record(workload, seed, wall_s):
+            return {"workload": workload, "seed": seed, "correct": True,
+                    "metrics": {"wall_s": {"unit": "s", "value": wall_s}}}
+
+        path = tmp_path / "run-1.json"
+        path.write_text(json.dumps([
+            record("uts-exec", 1, 2.0), record("uts-replay", 1, 0.5),
+            record("uts-exec", 2, 3.0), record("uts-exec", 3, 9.0),
+        ]))
         with ResultsDB(str(tmp_path / "b.db")) as db:
-            assert db.ingest_bench(str(path)) == 1
+            assert db.ingest_e2e(str(path)) == 4
+            assert db.ingest_e2e(str(path)) == 4  # replaces, not duplicates
             _, rows = db.query(
-                "SELECT section, key, cycles_per_sec FROM bench_rows"
+                "SELECT workload, seed, metric, unit, value FROM e2e_metrics"
+                " ORDER BY record"
             )
-            assert rows == [("scenarios", "k1", 500.0)]
-            _, sections = db.query(
-                "SELECT payload FROM bench_sections WHERE name ="
-                " 'campaign_cells'"
-            )
-            assert json.loads(sections[0][0])["planned"]["cells_per_min"] == 900.0
+            assert rows == [("uts-exec", 1, "wall_s", "s", 2.0),
+                            ("uts-replay", 1, "wall_s", "s", 0.5),
+                            ("uts-exec", 2, "wall_s", "s", 3.0),
+                            ("uts-exec", 3, "wall_s", "s", 9.0)]
+            # the report shows each workload's median
+            assert report_gen._collect_perf(db, str(path))["medians"] == [
+                {"workload": "uts-exec", "metric": "wall_s", "unit": "s",
+                 "runs": 3, "median": 3.0},
+                {"workload": "uts-replay", "metric": "wall_s", "unit": "s",
+                 "runs": 1, "median": 0.5},
+            ]
             # the source file lands in the content-hash ledger
             _, arts = db.query(
-                "SELECT sha256 FROM artifacts WHERE kind = 'bench'"
+                "SELECT sha256 FROM artifacts WHERE kind = 'e2e'"
             )
             assert arts[0][0] == file_sha256(str(path))
 
@@ -237,7 +241,7 @@ class TestIngestFiles:
 @pytest.fixture(scope="module")
 def built_reports(tmp_path_factory):
     """Two report builds from one shared cache (second is cache-served);
-    absent bench/goldens paths keep the report self-contained."""
+    absent baseline/goldens paths keep the report self-contained."""
     tmp = tmp_path_factory.mktemp("report")
     cache = str(tmp / "cache")
     db_path = str(tmp / "results.db")
@@ -248,7 +252,7 @@ def built_reports(tmp_path_factory):
             report_gen.build(
                 out, db, fast=True, jobs=1, cache_dir=cache,
                 experiments=["fig6.3", "campaign"],
-                bench_path=str(tmp / "absent.json"),
+                baseline_path=str(tmp / "absent.json"),
                 goldens_dir=str(tmp / "absent"),
             )
         dirs.append(out)
