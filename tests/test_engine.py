@@ -247,6 +247,53 @@ def test_activation_idempotent_and_wakeups_counted(engine_cls):
     assert c.ticks == 2
 
 
+def test_full_active_set_ticks_every_cycle_until_stop(engine_cls):
+    """15 tickables, one per SM of the Table 5.1 machine, all active."""
+    engine = engine_cls()
+    counters = [Counter(engine) for _ in range(15)]
+    for c in counters:
+        c.start()
+    engine.schedule(2_000, engine.stop)
+    engine.run()
+    assert sum(c.ticks for c in counters) == 15 * 2_000
+
+
+def test_sleep_wake_churn_every_cycle(engine_cls):
+    """Tickables that sleep after each tick and are woken by an event one
+    cycle later still tick every cycle (the event runs before the tick)."""
+    engine = engine_cls()
+
+    class Toggler:
+        def __init__(self):
+            self.tid = engine.register(self)
+            self.ticks = 0
+
+        def tick(self):
+            self.ticks += 1
+            engine.deactivate(self.tid)
+            engine.schedule(1, lambda: engine.activate(self.tid))
+
+    togglers = [Toggler() for _ in range(8)]
+    for t in togglers:
+        engine.activate(t.tid)
+    engine.schedule(1_000, engine.stop)
+    engine.run()
+    assert [t.ticks for t in togglers] == [1_000] * 8
+
+
+def test_every_event_fires_across_many_delays(engine_cls):
+    engine = engine_cls()
+    count = [0]
+
+    def bump():
+        count[0] += 1
+
+    for d in range(5_000):
+        engine.schedule(d % 97 + 1, bump)
+    engine.run()
+    assert count[0] == engine.events_processed == 5_000
+
+
 class TestScheduleAtAndPeek:
     """Edge cases of schedule_at/peek_next_event: same-cycle ordering,
     scheduling at the current cycle, and behavior around stop()."""
