@@ -21,7 +21,7 @@ from typing import Callable
 from repro.core.component import Component
 from repro.mem.l1 import L1Controller
 from repro.mem.scratchpad import Scratchpad
-from repro.noc.message import Message, MsgType, next_request_id
+from repro.noc.message import Message, MsgType
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 
@@ -167,19 +167,18 @@ class DmaEngine(Component):
         addrs = range(base, base + min(self.config.line_size, transfer.size - offset), 4)
         for a, value in zip(addrs, self.scratchpad.load_words(addrs)):
             store(a + delta, value)
-        self.l1.mesh.send(
+        l1 = self.l1
+        mesh = l1.mesh
+        home = l1.home_nodes[gline % len(l1.home_nodes)]
+        mesh.send(
             Message(
-                mtype=MsgType.PUT_WT,
-                src=self.l1.node,
-                dst=self.l1.l2_node_of_line(gline),
-                line=gline,
-                req_id=next_request_id(),
-                meta=("dma", id(transfer)),
+                MsgType.PUT_WT, l1.node, home, gline, mesh.next_request_id(),
+                None, None, None, None, None, False, ("dma", id(transfer)),
             )
         )
         # The L2 acks to the L1 controller; we count completion optimistically
         # after the round trip by registering a waiter on the engine clock.
-        rtt = 2 * self.l1.mesh.hops(self.l1.node, self.l1.l2_node_of_line(gline))
+        rtt = 2 * mesh.hops(l1.node, home)
         delay = rtt * self.config.hop_latency + self._l2_latency + 2
         self.lines_stored.value += 1
         self.engine.schedule(delay, lambda t=transfer: self._line_done(t))

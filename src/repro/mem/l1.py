@@ -40,8 +40,7 @@ from repro.mem.main_memory import GlobalMemory
 from repro.mem.mshr import Mshr
 from repro.mem.store_buffer import SbEntry, StoreBuffer
 from repro.noc.mesh import Mesh
-from repro.noc.message import Message, MsgType, alloc_message, next_request_id, recycle_message
-from repro.noc.message import _request_ids as _REQ_IDS  # atomic() fast lane
+from repro.noc.message import Message, MsgType
 from repro.sim.config import SystemConfig
 
 LoadCallback = Callable[[ServiceLocation, int], None]  # (where, req_id)
@@ -105,7 +104,7 @@ class L1Controller(Component):
         node: int,
         config: SystemConfig,
         mesh: Mesh,
-        l2_node_of_line: Callable[[int], int],
+        home_nodes: list[int],
         protocol: CoherenceProtocol,
         memory: GlobalMemory,
         levels: "list[CacheLevelSpec] | None" = None,
@@ -116,13 +115,20 @@ class L1Controller(Component):
         self.config = config
         self.mesh = mesh
         self.engine = mesh.engine
-        self.l2_node_of_line = l2_node_of_line
+        #: home mesh node of each directory bank (``L2Cache.bank_nodes``):
+        #: a line's requests go to ``home_nodes[line % len(home_nodes)]``
+        self.home_nodes = home_nodes
+        self._home_banks = len(home_nodes)
         self.protocol = protocol
         self.memory = memory
         #: hoisted constants for the per-atomic hot path
         self._line_shift = config.offset_bits
         self._keep_owned_on_acquire = protocol.keeps_owned_on_acquire()
         self._send = mesh.send
+        self._alloc = mesh.alloc_message
+        self._msg_pool = mesh._msg_pool
+        self._pool_cap = mesh.MSG_POOL_CAP
+        self._req_ids = mesh._request_ids
         if levels is None:
             levels = config.effective_hierarchy().core_levels
         if not levels:
@@ -231,18 +237,15 @@ class L1Controller(Component):
             # ("L1 coalescing" in the paper's taxonomy).
             self.mshr.merge(line, on_done)
             return
-        req_id = next_request_id()
+        req_id = next(self._req_ids)
         entry = self.mshr.allocate(line, req_id, now=self.engine.now)
         entry.waiters.append(on_done)
         self._load_waiters[req_id] = (on_done, bypass_l1)
-        self.mesh.send(
+        self._send(
             Message(
-                mtype=MsgType.GETS,
-                src=self.node,
-                dst=self.l2_node_of_line(line),
-                line=line,
-                req_id=req_id,
-                bypass_l1=bypass_l1,
+                MsgType.GETS, self.node,
+                self.home_nodes[line % self._home_banks], line, req_id,
+                None, None, None, None, None, bypass_l1,
             )
         )
 
@@ -364,13 +367,13 @@ class L1Controller(Component):
             self._schedule_drain()
 
     def _issue_sb_entry(self, entry: SbEntry) -> None:
-        self.mesh.send(
+        line = entry.line
+        self._send(
             Message(
-                mtype=self.protocol.drain_message_type(),
-                src=self.node,
-                dst=self.l2_node_of_line(entry.line),
-                line=entry.line,
-                meta=("sb", entry.seq),
+                self.protocol.drain_message_type(), self.node,
+                self.home_nodes[line % self._home_banks], line,
+                next(self._req_ids), None, None, None, None, None, False,
+                ("sb", entry.seq),
             )
         )
 
@@ -431,18 +434,17 @@ class L1Controller(Component):
         the SM's allocation-free lane -- a 5-tuple ``(fn, a, b, c, d)``
         invoked as ``fn(a, b, c, d, value)``."""
         line = word_addr >> self._line_shift
-        # next_request_id(), sans the wrapper call: same shared counter.
-        req_id = next(_REQ_IDS)
+        req_id = next(self._req_ids)
         self._atomic_waiters[req_id] = on_done
         # Pooled positional construction (field order: mtype, src, dst,
         # line, req_id, requester, value, service_loc, atomic_fn,
         # word_addr): this is one of the two hottest allocation sites; the
         # L2 retires the request after its RMW.
         self._send(
-            alloc_message(
+            self._alloc(
                 MsgType.ATOMIC,
                 self.node,
-                self.l2_node_of_line(line),
+                self.home_nodes[line % self._home_banks],
                 line,
                 req_id,
                 None,
@@ -465,7 +467,9 @@ class L1Controller(Component):
             cb = self._atomic_waiters.pop(msg.req_id, None)
             if cb is not None:
                 value = msg.value
-                recycle_message(msg)
+                pool = self._msg_pool  # Mesh.recycle_message, inlined
+                if len(pool) < self._pool_cap:
+                    pool.append(msg)
                 if cb.__class__ is tuple:
                     cb[0](cb[1], cb[2], cb[3], cb[4], value)
                 else:
@@ -482,29 +486,23 @@ class L1Controller(Component):
             raise ValueError("L1 cannot handle %s" % msg.mtype)
 
     def _handle_data(self, msg: Message) -> None:
-        # Every DATA message retires here: nothing below stores ``msg``
-        # (waiters receive scalars), so it returns to the pool on exit.
-        cb = self._atomic_waiters.pop(msg.req_id, None)
-        if cb is not None:
-            assert msg.value is not None
-            value = msg.value
-            recycle_message(msg)
-            if cb.__class__ is tuple:
-                cb[0](cb[1], cb[2], cb[3], cb[4], value)
-            else:
-                cb(value)
-            return
-        waiter = self._load_waiters.pop(msg.req_id, None)
+        """Complete a load fill (``handle_message`` completes atomic
+        responses before they get here)."""
+        # Every DATA message retires here: its fields are read first and
+        # nothing below stores ``msg`` (waiters receive scalars).
+        req_id = msg.req_id
+        line = msg.line
+        loc = msg.service_loc or ServiceLocation.L2
+        pool = self._msg_pool  # Mesh.recycle_message, inlined
+        if len(pool) < self._pool_cap:
+            pool.append(msg)
+        waiter = self._load_waiters.pop(req_id, None)
         if waiter is None:
-            recycle_message(msg)
             return  # stale response (e.g. cancelled requester); drop
         _, bypass = waiter
-        entry = self.mshr.complete(msg.line)
+        entry = self.mshr.complete(line)
         if not bypass:
-            self._install_fill(msg.line, self.protocol.fill_state())
-        loc = msg.service_loc or ServiceLocation.L2
-        req_id = msg.req_id
-        recycle_message(msg)
+            self._install_fill(line, self.protocol.fill_state())
         for hook in self.resource_freed_hooks:
             hook()  # an MSHR entry just freed
         for cb in entry.waiters:
@@ -553,13 +551,12 @@ class L1Controller(Component):
             if not lv.bypass and lv.tags.contains(line):
                 return
         self.wb_pending.add(line)
-        self.mesh.send(
+        self._send(
             Message(
-                mtype=MsgType.WB_OWNED,
-                src=self.node,
-                dst=self.l2_node_of_line(line),
-                line=line,
-                meta=("wb", line),
+                MsgType.WB_OWNED, self.node,
+                self.home_nodes[line % self._home_banks], line,
+                next(self._req_ids), None, None, None, None, None, False,
+                ("wb", line),
             )
         )
 
@@ -587,21 +584,17 @@ class L1Controller(Component):
             # functionally harmless (GlobalMemory is authoritative).
             self.race_fallbacks.value += 1
         self.remote_serves.value += 1
-        delay = self.config.remote_fwd_latency
-        self.engine.schedule(
-            delay,
-            lambda: self.mesh.send(
-                Message(
-                    mtype=MsgType.DATA,
-                    src=self.node,
-                    dst=msg.requester,
-                    line=msg.line,
-                    req_id=msg.req_id,
-                    service_loc=ServiceLocation.REMOTE_L1,
-                    bypass_l1=msg.bypass_l1,
-                    meta=msg.meta,
-                )
-            ),
+        self.engine.schedule_call(
+            self.config.remote_fwd_latency, self._send_remote_data, msg
+        )
+
+    def _send_remote_data(self, fwd: Message) -> None:
+        self._send(
+            Message(
+                MsgType.DATA, self.node, fwd.requester, fwd.line, fwd.req_id,
+                None, None, ServiceLocation.REMOTE_L1, None, None,
+                fwd.bypass_l1, fwd.meta,
+            )
         )
 
     def _handle_fwd_geto(self, msg: Message) -> None:

@@ -41,7 +41,7 @@ from repro.mem.cache import LineState
 from repro.mem.hierarchy import BankedTagArray, CacheLevelSpec, SharedCacheLevel
 from repro.mem.main_memory import Dram, GlobalMemory
 from repro.noc.mesh import Mesh
-from repro.noc.message import Message, MsgType, alloc_message, recycle_message
+from repro.noc.message import Message, MsgType
 from repro.sim.config import SystemConfig
 
 
@@ -76,9 +76,9 @@ class L2Cache(Component):
         self._dir_latency = spec.effective_dir_latency
         #: data-array portion of an access beyond the directory lookup
         self._data_array_delay = max(0, spec.hit_latency - self._dir_latency)
-        #: home mesh node per bank, precomputed: ``node_of_line`` sits on
-        #: the request path of every L1 and response path of every bank.
-        self._bank_node = mesh.distribute_banks(spec.banks)
+        #: home mesh node per bank, precomputed: the L1s index it on every
+        #: request they send, the banks on every response.
+        self.bank_nodes = mesh.distribute_banks(spec.banks)
         #: deeper shared levels, walked on a directory miss (usually empty)
         self._next_levels = list(next_levels or [])
         #: line -> owning core's node id (DeNovo registration)
@@ -98,6 +98,7 @@ class L2Cache(Component):
         # callees is ever rebound): the service path runs once per request
         # message, the rmw path once per atomic.
         self._send = mesh.send
+        self._alloc = mesh.alloc_message
         self._mem_words = memory._words
         self._tag_banks = self.tags.banks
         self._bank_free = self.tags._free
@@ -116,19 +117,7 @@ class L2Cache(Component):
 
     def node_of_line(self, line: int) -> int:
         """Mesh node hosting the home bank of ``line``."""
-        return self._bank_node[line % self.num_banks]
-
-    def _bank_service_delay(self, bank: int) -> int:
-        """Serialize bank access (one request per bank per cycle).
-
-        The base delay is the directory/tag lookup; requests that must read
-        the data array (loads served from the L2, atomics) pay the remaining
-        ``hit_latency - dir_latency`` before responding.  Forwards and write
-        acknowledgements leave after the directory alone, which is what
-        keeps the paper's remote-L1 latency range (35-83) overlapping the
-        L2 hit range (29-61).
-        """
-        return self.tags.serialize(bank, self.engine.now) + self._dir_latency
+        return self.bank_nodes[line % self.num_banks]
 
     def warm_lines(self, lines) -> None:
         """Pre-install lines in the shared levels (data produced by a prior
@@ -149,14 +138,23 @@ class L2Cache(Component):
     def handle_message(self, msg: Message) -> None:
         """Entry point for request messages delivered by the mesh.
 
-        Dispatched through the engine's one-argument ``schedule_call``
-        lane: the bank is recomputed from the line at service time (it is
-        a pure function of the address), so no closure or partial is built
-        per message, and every request maturing on one cycle shares a
-        single engine bucket.
+        Bank access serializes (one request per bank per cycle) behind the
+        directory/tag lookup; requests that must read the data array (loads
+        served from the L2, atomics) pay the remaining ``hit_latency -
+        dir_latency`` in their service method.  Forwards and write
+        acknowledgements leave after the directory alone, which is what
+        keeps the paper's remote-L1 latency range (35-83) overlapping the
+        L2 hit range (29-61).
+
+        The per-type service method goes straight into the engine's
+        one-argument ``schedule_call`` lane and recomputes the bank from the
+        line itself (a pure function of the address), so no closure or
+        partial is built per message, and every request maturing on one
+        cycle shares a single engine bucket.
         """
-        # _bank_service_delay inlined (one request per bank per cycle):
-        # this runs once per delivered request message.
+        service = self._service_table.get(msg.mtype)
+        if service is None:
+            raise ValueError("L2 cannot handle %s" % msg.mtype)
         free = self._bank_free
         bank = msg.line % self.num_banks
         now = self.engine.now
@@ -164,16 +162,10 @@ class L2Cache(Component):
         if start < now:
             start = now
         free[bank] = start + 1
-        self._schedule_call(start - now + self._dir_latency, self._service, msg)
-
-    def _service(self, msg: Message) -> None:
-        handler = self._service_table.get(msg.mtype)
-        if handler is None:
-            raise ValueError("L2 cannot handle %s" % msg.mtype)
-        handler(msg, msg.line % self.num_banks)
+        self._schedule_call(start - now + self._dir_latency, service, msg)
 
     # ------------------------------------------------------------------
-    def _service_gets(self, msg: Message, bank: int) -> None:
+    def _service_gets(self, msg: Message) -> None:
         self.loads.value += 1
         line = msg.line
         owner = self.owner.get(line)
@@ -183,17 +175,13 @@ class L2Cache(Component):
             self.remote_forwards.value += 1
             self.mesh.send(
                 Message(
-                    mtype=MsgType.FWD_GETS,
-                    src=self.node_of_line(line),
-                    dst=owner,
-                    line=line,
-                    req_id=msg.req_id,
-                    requester=msg.src,
-                    bypass_l1=msg.bypass_l1,
-                    meta=msg.meta,
+                    MsgType.FWD_GETS, self.node_of_line(line), owner, line,
+                    msg.req_id, msg.src, None, None, None, None,
+                    msg.bypass_l1, msg.meta,
                 )
             )
             return
+        bank = line % self.num_banks
         if self.tags.banks[bank].lookup(line) is not None:
             self._respond_data(msg, ServiceLocation.L2, extra_delay=self._data_array_delay)
         else:
@@ -236,16 +224,11 @@ class L2Cache(Component):
             self._send_data(req, loc)
 
     def _send_data(self, req: Message, loc: ServiceLocation) -> None:
-        self.mesh.send(
-            Message(
-                mtype=MsgType.DATA,
-                src=self.node_of_line(req.line),
-                dst=req.src,
-                line=req.line,
-                req_id=req.req_id,
-                service_loc=loc,
-                bypass_l1=req.bypass_l1,
-                meta=req.meta,
+        # Pooled: the L1 retires every DATA message it receives.
+        self._send(
+            self._alloc(
+                MsgType.DATA, self.node_of_line(req.line), req.src, req.line,
+                req.req_id, None, None, loc, None, None, req.bypass_l1, req.meta,
             )
         )
 
@@ -253,7 +236,7 @@ class L2Cache(Component):
         self.tags.banks[bank].insert(line, LineState.VALID)
 
     # ------------------------------------------------------------------
-    def _service_put_wt(self, msg: Message, bank: int) -> None:
+    def _service_put_wt(self, msg: Message) -> None:
         self.stores.value += 1
         line = msg.line
         # A write-through from a non-owner squashes any stale registration
@@ -262,10 +245,10 @@ class L2Cache(Component):
         if self.owner.get(line) is not None and self.owner[line] != msg.src:
             self.ownership_recalls.value += 1
             self._recall(line)
-        self._fill(bank, line)
+        self._fill(line % self.num_banks, line)
         self._ack(msg)
 
-    def _service_geto(self, msg: Message, bank: int) -> None:
+    def _service_geto(self, msg: Message) -> None:
         line = msg.line
         prev = self.owner.get(line)
         extra = 0
@@ -276,11 +259,8 @@ class L2Cache(Component):
             self.ownership_recalls.value += 1
             self.mesh.send(
                 Message(
-                    mtype=MsgType.FWD_GETO,
-                    src=self.node_of_line(line),
-                    dst=prev,
-                    line=line,
-                    requester=msg.src,
+                    MsgType.FWD_GETO, self.node_of_line(line), prev, line,
+                    self.mesh.next_request_id(), msg.src,
                 )
             )
             extra = self.mesh.hops(self.node_of_line(line), prev) * self.mesh.hop_latency
@@ -296,16 +276,13 @@ class L2Cache(Component):
         if prev is not None:
             self.mesh.send(
                 Message(
-                    mtype=MsgType.FWD_GETO,
-                    src=self.node_of_line(line),
-                    dst=prev,
-                    line=line,
-                    requester=None,
+                    MsgType.FWD_GETO, self.node_of_line(line), prev, line,
+                    self.mesh.next_request_id(),
                 )
             )
 
     # ------------------------------------------------------------------
-    def _service_atomic(self, msg: Message, bank: int) -> None:
+    def _service_atomic(self, msg: Message) -> None:
         self.atomics.value += 1
         line = msg.line
         prev = self.owner.get(line)
@@ -334,44 +311,30 @@ class L2Cache(Component):
         _new, result = msg.atomic_fn(words.get(addr, 0))
         words[addr] = _new
         self._tag_banks[bank].insert(line, LineState.VALID)  # _fill, inlined
-        # Pooled positional construction (field order: mtype, src, dst,
-        # line, req_id, requester, value, service_loc, atomic_fn,
-        # word_addr, bypass_l1, meta): the hottest response-allocation
-        # site.  The request retires here -- it is held by no table or
-        # bucket once this call runs.
-        self._send(
-            alloc_message(
-                MsgType.DATA,
-                self._bank_node[bank],
-                msg.src,
-                line,
-                msg.req_id,
-                None,
-                result,
-                ServiceLocation.L2,
-                None,
-                None,
-                False,
-                msg.meta,
-            )
-        )
-        recycle_message(msg)
+        # The request retires here (no table or bucket holds it once this
+        # call runs), so it becomes its own DATA response in place: the
+        # hottest response needs no allocation and no pool round trip.
+        requester = msg.src
+        msg.mtype = MsgType.DATA
+        msg.src = self.bank_nodes[bank]
+        msg.dst = requester
+        msg.value = result
+        msg.service_loc = ServiceLocation.L2
+        msg.atomic_fn = None
+        msg.word_addr = None
+        self._send(msg)
 
-    def _service_wb_owned(self, msg: Message, bank: int) -> None:
+    def _service_wb_owned(self, msg: Message) -> None:
         line = msg.line
         if self.owner.get(line) == msg.src:
             del self.owner[line]
-        self._fill(bank, line)
+        self._fill(line % self.num_banks, line)
         self._ack(msg)
 
     def _ack(self, req: Message) -> None:
         self.mesh.send(
             Message(
-                mtype=MsgType.ACK,
-                src=self.node_of_line(req.line),
-                dst=req.src,
-                line=req.line,
-                req_id=req.req_id,
-                meta=req.meta,
+                MsgType.ACK, self.node_of_line(req.line), req.src, req.line,
+                req.req_id, None, None, None, None, None, False, req.meta,
             )
         )

@@ -13,19 +13,34 @@ mesh distance (which is where the Table 5.1 latency *ranges* come from).
 ``send`` sits on the simulator's hot path (every memory request crosses it
 twice), so hop distances are precomputed into a dense table at construction
 and the traffic counters are plain ints surfaced as derived stats.
+
+Delivery has two lanes, picked by message type alone: requests
+(:data:`~repro.noc.message.REQUEST_TYPES`) go to the one directory handler
+(the banked L2 finds its bank from the line), every other type to the core
+handler attached at ``dst``.
+
+The mesh also owns its system's message pool and request-id counter, so
+both live and die with one simulated machine.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 from repro.core.component import Component
-from repro.noc.message import Message
+from repro.noc.message import REQUEST_TYPES, Message
 from repro.sim.engine import Engine
 
 
 class Mesh(Component):
     """XY-routed mesh with per-endpoint serialization."""
+
+    #: The L1 retires every DATA message, including the ones a remote
+    #: owner builds outside the pool, so pushes can outnumber pops; the
+    #: cap bounds that surplus and is well above the messages a Table 5.1
+    #: machine keeps in flight.
+    MSG_POOL_CAP = 1024
 
     def __init__(
         self,
@@ -68,6 +83,7 @@ class Mesh(Component):
         self._handlers: list[Callable[[Message], None] | None] = [
             None
         ] * self.num_nodes
+        self._directory: Callable[[Message], None] | None = None
         self._inject_free: list[int] = [0] * self.num_nodes
         self._eject_free: list[int] = [0] * self.num_nodes
         # statistics: plain ints (bumped per message) exposed as derived
@@ -81,6 +97,15 @@ class Mesh(Component):
         self.stat_derived(
             "avg_latency", lambda: self.total_latency / max(1, self.messages_sent)
         )
+        #: freelist for the hottest request/response round trips.  Only the
+        #: L1 data handler pushes here, once the last waiter of a DATA
+        #: message ran; the L1 atomic request and the L2 load fill pop
+        #: through :meth:`alloc_message` (the L2 turns an atomic request
+        #: into its own response).  Steady-state atomics and loads then
+        #: allocate no Message objects at all.  The L1 binds this list and
+        #: inlines :meth:`recycle_message`'s cap check.
+        self._msg_pool: list[Message] = []
+        self._request_ids = itertools.count()
 
     def on_reset_stats(self) -> None:
         self.messages_sent = 0
@@ -89,11 +114,79 @@ class Mesh(Component):
 
     # ------------------------------------------------------------------
     def attach(self, node: int, handler: Callable[[Message], None]) -> None:
-        """Register the message handler for ``node``."""
+        """Register the core handler for ``node``: it receives every
+        non-request message sent to ``node``."""
         self._check_node(node)
         if self._handlers[node] is not None:
             raise ValueError("node %d already attached" % node)
         self._handlers[node] = handler
+
+    def attach_directory(self, handler: Callable[[Message], None]) -> None:
+        """Register the handler that receives every request message,
+        whichever node it is sent to."""
+        if self._directory is not None:
+            raise ValueError("directory already attached")
+        self._directory = handler
+
+    # ------------------------------------------------------------------
+    def next_request_id(self) -> int:
+        return next(self._request_ids)
+
+    def recycle_message(self, msg: Message) -> None:
+        """Return a retired message to the pool (dropped once it is full).
+
+        The caller must guarantee no live reference remains: the message is
+        not stored in any table, bucket, or closure.  Fields are overwritten
+        (not cleared) on reuse."""
+        if len(self._msg_pool) < self.MSG_POOL_CAP:
+            self._msg_pool.append(msg)
+
+    def alloc_message(
+        self,
+        mtype,
+        src: int,
+        dst: int,
+        line: int,
+        req_id: int,
+        requester: "int | None",
+        value: "int | None",
+        service_loc,
+        atomic_fn,
+        word_addr: "int | None",
+        bypass_l1: bool = False,
+        meta=None,
+    ) -> Message:
+        """Pool-aware :class:`Message` factory (hot positional field order)."""
+        pool = self._msg_pool
+        if pool:
+            m = pool.pop()
+            m.mtype = mtype
+            m.src = src
+            m.dst = dst
+            m.line = line
+            m.req_id = req_id
+            m.requester = requester
+            m.value = value
+            m.service_loc = service_loc
+            m.atomic_fn = atomic_fn
+            m.word_addr = word_addr
+            m.bypass_l1 = bypass_l1
+            m.meta = meta
+            return m
+        return Message(
+            mtype,
+            src,
+            dst,
+            line,
+            req_id,
+            requester,
+            value,
+            service_loc,
+            atomic_fn,
+            word_addr,
+            bypass_l1,
+            meta,
+        )
 
     def coords(self, node: int) -> tuple[int, int]:
         self._check_node(node)
@@ -141,9 +234,16 @@ class Mesh(Component):
         if not 0 <= src < self.num_nodes or not 0 <= dst < self.num_nodes:
             self._check_node(src)
             self._check_node(dst)
-        handler = self._handlers[dst]
-        if handler is None:
-            raise ValueError("no handler attached at node %d" % dst)
+        if msg.mtype in REQUEST_TYPES:
+            handler = self._directory
+            if handler is None:
+                raise ValueError("request %r sent with no directory attached" % msg)
+        else:
+            handler = self._handlers[dst]
+            if handler is None:
+                raise ValueError(
+                    "response %r sent to node %d, which has no core handler" % (msg, dst)
+                )
         engine = self.engine
         now = engine.now
         bw = self.endpoint_bw
@@ -167,7 +267,7 @@ class Mesh(Component):
         self.total_latency += delivery - now
         # The engine appends the bare (handler, msg) pair to the delivery
         # cycle's bucket: every message landing on one cycle drains in a
-        # single batch with no per-message closure.
+        # single batch, straight into its handler.
         engine.schedule_call(delivery - now, handler, msg)
         return delivery
 

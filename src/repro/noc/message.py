@@ -13,8 +13,7 @@ The protocol vocabulary covers both coherence protocols of the paper:
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.stall_types import ServiceLocation
@@ -32,15 +31,15 @@ class MsgType(enum.Enum):
     ACK = "ack"                  # write-through / writeback / own ack
 
     # Members are singletons; identity hashing is exact and C-speed (the
-    # L2-request dispatch set is probed once per delivered message).
+    # request set below is probed once per sent message).
     __hash__ = object.__hash__
 
 
-_request_ids = itertools.count()
-
-
-def next_request_id() -> int:
-    return next(_request_ids)
+#: the message types the directory services; the mesh delivers these to
+#: its directory lane and every other type to the destination core.
+REQUEST_TYPES = frozenset(
+    {MsgType.GETS, MsgType.PUT_WT, MsgType.GETO, MsgType.ATOMIC, MsgType.WB_OWNED}
+)
 
 
 @dataclass(slots=True)
@@ -53,14 +52,16 @@ class Message:
 
     ``slots=True``: messages are the most-allocated objects in the
     simulator (two per memory request); skipping the per-instance
-    ``__dict__`` measurably trims both execution and replay time.
+    ``__dict__`` measurably trims both execution and replay time.  Cold
+    paths construct them positionally (cheaper than keywords); the hot
+    round trips take them from :meth:`Mesh.alloc_message`'s pool.
     """
 
     mtype: MsgType
     src: int
     dst: int
     line: int
-    req_id: int = field(default_factory=next_request_id)
+    req_id: int                       # unique per mesh (Mesh.next_request_id)
     requester: int | None = None      # original requester (for forwards)
     value: int | None = None          # atomic result / payload
     service_loc: ServiceLocation | None = None
@@ -77,75 +78,3 @@ class Message:
             self.line,
             self.req_id,
         )
-
-
-#: freelist for the hottest request/response round trips.  Only the two
-#: consumers that provably retire their message push here (the L2 atomic
-#: RMW after it sends the response, the L1 data handler after the last
-#: waiter ran); the two matching producers (the L1 atomic request, the L2
-#: atomic response) pop.  Steady-state atomics then allocate no Message
-#: objects at all.
-_msg_pool: list[Message] = []
-
-#: The L1 also retires load-fill DATA responses, which the L2 builds
-#: outside the pool, so pushes outnumber pops and an uncapped freelist
-#: grows by that surplus on every run in the process.  The cap is well
-#: above the messages a Table 5.1 machine keeps in flight.
-MSG_POOL_CAP = 1024
-
-
-def recycle_message(msg: Message) -> None:
-    """Return a retired message to the pool (dropped once it is full).
-
-    The caller must guarantee no live reference remains: the message is
-    not stored in any table, bucket, or closure.  Fields are overwritten
-    (not cleared) on reuse."""
-    if len(_msg_pool) < MSG_POOL_CAP:
-        _msg_pool.append(msg)
-
-
-def alloc_message(
-    mtype: MsgType,
-    src: int,
-    dst: int,
-    line: int,
-    req_id: int,
-    requester: "int | None",
-    value: "int | None",
-    service_loc,
-    atomic_fn,
-    word_addr: "int | None",
-    bypass_l1: bool = False,
-    meta=None,
-) -> Message:
-    """Pool-aware :class:`Message` factory (hot positional field order)."""
-    pool = _msg_pool
-    if pool:
-        m = pool.pop()
-        m.mtype = mtype
-        m.src = src
-        m.dst = dst
-        m.line = line
-        m.req_id = req_id
-        m.requester = requester
-        m.value = value
-        m.service_loc = service_loc
-        m.atomic_fn = atomic_fn
-        m.word_addr = word_addr
-        m.bypass_l1 = bypass_l1
-        m.meta = meta
-        return m
-    return Message(
-        mtype,
-        src,
-        dst,
-        line,
-        req_id,
-        requester,
-        value,
-        service_loc,
-        atomic_fn,
-        word_addr,
-        bypass_l1,
-        meta,
-    )

@@ -34,13 +34,8 @@ from repro.mem.main_memory import Dram, GlobalMemory
 from repro.mem.scratchpad import Scratchpad
 from repro.mem.stash import Stash
 from repro.noc.mesh import Mesh
-from repro.noc.message import Message, MsgType
 from repro.sim.config import LocalMemory, SystemConfig
 from repro.sim.engine import Engine
-
-_L2_REQUESTS = frozenset(
-    {MsgType.GETS, MsgType.PUT_WT, MsgType.GETO, MsgType.ATOMIC, MsgType.WB_OWNED}
-)
 
 
 @dataclass
@@ -193,20 +188,20 @@ class System(Component):
             for spec in core_specs
         ]
 
-        self._l1_by_node: dict[int, L1Controller] = {}
+        self.mesh.attach_directory(self.l2.handle_message)
         self.sms: list[SM] = []
         for sm_id, node in enumerate(self.sm_nodes):
             l1 = L1Controller(
                 node,
                 config,
                 self.mesh,
-                self.l2.node_of_line,
+                self.l2.bank_nodes,
                 gpu_protocol,
                 self.memory,
                 levels=core_specs,
                 shared_tags=_cluster_tags_for(sm_id),
             )
-            self._l1_by_node[node] = l1
+            self.mesh.attach(node, l1.handle_message)
             scratchpad = dma = stash = None
             if config.local_memory is not LocalMemory.NONE:
                 scratchpad = Scratchpad(
@@ -242,18 +237,15 @@ class System(Component):
                 node,
                 config,
                 self.mesh,
-                self.l2.node_of_line,
+                self.l2.bank_nodes,
                 cpu_protocol,
                 self.memory,
                 levels=cpu_specs,
             )
-            self._l1_by_node[node] = l1
+            self.mesh.attach(node, l1.handle_message)
             cpu = CpuCore(cpu_id, node, l1)
             self.cpus.append(cpu)
             self.add_child(cpu)
-
-        for node in range(config.num_nodes):
-            self.mesh.attach(node, self._make_dispatcher(node))
 
         self._teardown_started = False
         self._teardown_flushes = 0
@@ -262,28 +254,6 @@ class System(Component):
         #: and into each SM's LSU; replay mode instead drives this system
         #: through :class:`repro.trace.replay.TraceReplayer` injectors.
         self.recorder = None
-
-    # ------------------------------------------------------------------
-    def _make_dispatcher(self, node: int):
-        # Every endpoint is known by the time dispatchers are attached, so
-        # the handlers bind once here instead of being re-resolved on each
-        # of the millions of delivered messages.
-        l2_requests = _L2_REQUESTS
-        l2_handle = self.l2.handle_message
-        l1 = self._l1_by_node.get(node)
-        l1_handle = None if l1 is None else l1.handle_message
-
-        def dispatch(msg: Message) -> None:
-            if msg.mtype in l2_requests:
-                l2_handle(msg)
-            elif l1_handle is not None:
-                l1_handle(msg)
-            else:
-                raise RuntimeError(
-                    "response %r delivered to core-less node %d" % (msg, node)
-                )
-
-        return dispatch
 
     # ------------------------------------------------------------------
     def run(self, workload) -> SimResult:

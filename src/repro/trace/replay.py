@@ -60,10 +60,36 @@ from repro.trace.format import (
 )
 
 
+#: ``TraceReplayer.resolved`` stores a service location as its index in
+#: ``_LOCS``: a dict of ints is invisible to the garbage collector, which
+#: would otherwise walk every resolved tag of the run on each collection.
+_LOCS = tuple(ServiceLocation)
+_LOC_INDEX = {loc: i for i, loc in enumerate(_LOCS)}
+_L2 = _LOC_INDEX[ServiceLocation.L2]
+
+
 def _noop_rmw(value: int) -> "tuple[int, int]":
     """Timing-neutral atomic function: values never influence memory-system
     timing, so replayed atomics read-modify-write the old value back."""
     return value, value
+
+
+def _fast_atomic_done(rep, l1, tag: int, acquire: int, _value: int) -> None:
+    """Completion of a plain (non-release) replayed atomic, called through
+    the L1's tuple lane.  Mirrors SM._atomic_done order: resolve, acquire
+    self-invalidation, then completion triggers."""
+    rep.resolved[tag] = _L2
+    dep_waiters = rep.dep_waiters
+    if dep_waiters:
+        waiters = dep_waiters.pop(tag, None)
+        if waiters:
+            for inj in waiters:
+                inj.wake()
+    if acquire:
+        l1.acquire_invalidate()
+    if tag == rep.teardown_trigger:
+        rep.teardown_trigger = None
+        rep.request_teardown()
 
 
 class _SmInjector:
@@ -145,7 +171,18 @@ class _SmInjector:
                     rep.dep_waiters.setdefault(dep, []).append(self)
                     self._sleep()
                     return
-                self._issue_atomic(flat[p + 3], flat[p + 5], flat[p + 6])
+                flags = flat[p + 6]
+                if flags & FLAG_RELEASE:
+                    self._issue_release_atomic(flat[p + 3], flat[p + 5], flags)
+                else:
+                    # Plain RMWs and acquire-CAS lock spins: the dominant
+                    # event of lock-based workloads, so they ride the L1's
+                    # allocation-free tuple lane, with no closure per atomic.
+                    l1 = self.l1
+                    l1.atomic(
+                        flat[p + 5], _noop_rmw,
+                        (_fast_atomic_done, rep, l1, flat[p + 3], flags & FLAG_ACQUIRE),
+                    )
                 p += 7
             else:
                 # Release semantics: a pending release flush blocks younger
@@ -286,40 +323,16 @@ class _SmInjector:
         self.line_i = 0
         return True
 
-    def _issue_atomic(self, tag: int, word_addr: int, flags: int) -> None:
+    def _issue_release_atomic(self, tag: int, word_addr: int, flags: int) -> None:
         rep = self.rep
         l1 = self.l1
-        if not flags & FLAG_RELEASE:
-            # Non-release atomic (plain RMWs and acquire-CAS lock spins):
-            # the dominant event of lock-based workloads, so its completion
-            # callback is hand-inlined.  Mirrors SM._atomic_done order:
-            # resolve, acquire self-invalidation, then completion triggers.
-            resolved = rep.resolved
-            dep_waiters = rep.dep_waiters
-
-            def on_fast_done(_value, t=tag, acq=flags & FLAG_ACQUIRE,
-                             loc=ServiceLocation.L2):
-                resolved[t] = loc
-                if dep_waiters:
-                    waiters = dep_waiters.pop(t, None)
-                    if waiters:
-                        for inj in waiters:
-                            inj.wake()
-                if acq:
-                    l1.acquire_invalidate()
-                if t == rep.teardown_trigger:
-                    rep.teardown_trigger = None
-                    rep.request_teardown()
-
-            l1.atomic(word_addr, _noop_rmw, on_fast_done)
-            return
         acquire = bool(flags & FLAG_ACQUIRE)
 
         def on_done(_value, t=tag, acq=acquire):
             # Mirrors SM._atomic_done: resolve, then the acquire
             # self-invalidation, then anything the completion triggers
             # (possibly the end-of-kernel teardown).
-            rep.resolved[t] = ServiceLocation.L2
+            rep.resolved[t] = _L2
             rep.wake_dep_waiters(t)
             if acq:
                 l1.acquire_invalidate()
@@ -373,7 +386,8 @@ class TraceReplayer:
         self.system = System(cfg)
         self.engine = self.system.engine
         #: access-group tag -> where the replayed hierarchy serviced it
-        self.resolved: dict[int, ServiceLocation] = {}
+        #: (the location's index in ``_LOCS``)
+        self.resolved: dict[int, int] = {}
         self.dep_waiters: dict[int, list] = {}
         self.teardown_trigger: int | None = None
         self._teardown_requested = False
@@ -473,7 +487,7 @@ class TraceReplayer:
     # ------------------------------------------------------------------
     def resolve(self, tag: int, loc: ServiceLocation) -> None:
         """An access group completed; mirror of SM._group_line_done."""
-        self.resolved[tag] = loc
+        self.resolved[tag] = _LOC_INDEX[loc]
         self.wake_dep_waiters(tag)
         self.note_completion(tag)
 
@@ -502,8 +516,9 @@ class TraceReplayer:
                 if code == SPAN_MEM_DATA:
                     bd.add(StallType.MEM_DATA, n)
                     if detail:
+                        loc = resolved.get(detail)
                         bd.add_mem_data(
-                            resolved.get(detail, ServiceLocation.MEMORY), n
+                            ServiceLocation.MEMORY if loc is None else _LOCS[loc], n
                         )
                 else:
                     bd.add(StallType.MEM_STRUCT, n)

@@ -19,7 +19,6 @@ from repro.mem.l1 import L1Controller
 from repro.mem.l2 import L2Cache
 from repro.mem.main_memory import Dram, GlobalMemory
 from repro.noc.mesh import Mesh
-from repro.noc.message import MsgType
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.system import System, run_workload
@@ -346,18 +345,11 @@ class FabricHarness:
         self.l1s = {}
         for node in (0, 5):
             self.l1s[node] = L1Controller(
-                node, self.config, self.mesh, self.l2.node_of_line,
+                node, self.config, self.mesh, self.l2.bank_nodes,
                 protocol_cls(), self.memory, levels=hier.core_levels,
             )
-        requests = {MsgType.GETS, MsgType.PUT_WT, MsgType.GETO,
-                    MsgType.ATOMIC, MsgType.WB_OWNED}
-        for node in range(self.config.num_nodes):
-            def handler(message, node=node):
-                if message.mtype in requests:
-                    self.l2.handle_message(message)
-                else:
-                    self.l1s[node].handle_message(message)
-            self.mesh.attach(node, handler)
+            self.mesh.attach(node, self.l1s[node].handle_message)
+        self.mesh.attach_directory(self.l2.handle_message)
 
     def load(self, node, line, run=True):
         out = {}

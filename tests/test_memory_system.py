@@ -15,7 +15,6 @@ from repro.mem.l1 import L1Controller
 from repro.mem.l2 import L2Cache
 from repro.mem.main_memory import Dram, GlobalMemory
 from repro.noc.mesh import Mesh
-from repro.noc.message import MsgType
 from repro.sim.config import SystemConfig
 
 
@@ -43,29 +42,12 @@ class MiniSystem:
                 node,
                 self.config,
                 self.mesh,
-                self.l2.node_of_line,
+                self.l2.bank_nodes,
                 protocol_cls(),
                 self.memory,
             )
-        for node in range(self.config.num_nodes):
-            self.mesh.attach(node, self._dispatch(node))
-
-    def _dispatch(self, node):
-        requests = {
-            MsgType.GETS,
-            MsgType.PUT_WT,
-            MsgType.GETO,
-            MsgType.ATOMIC,
-            MsgType.WB_OWNED,
-        }
-
-        def handler(message):
-            if message.mtype in requests:
-                self.l2.handle_message(message)
-            else:
-                self.l1s[node].handle_message(message)
-
-        return handler
+            self.mesh.attach(node, self.l1s[node].handle_message)
+        self.mesh.attach_directory(self.l2.handle_message)
 
     def load(self, node, line):
         """Blocking load helper: returns (service_loc, latency)."""

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.noc import message
+import repro.noc.mesh
+import repro.noc.message
 from repro.noc.mesh import Mesh
-from repro.noc.message import Message, MsgType
+from repro.noc.message import REQUEST_TYPES, Message, MsgType
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
-from repro.system import run_workload
+from repro.system import System, run_workload
 from repro.workloads import make_workload
 
 
@@ -17,8 +18,8 @@ def make_mesh(rows=4, cols=4, hop=3, bw=2):
     return engine, mesh
 
 
-def msg(src, dst, line=0x40):
-    return Message(mtype=MsgType.GETS, src=src, dst=dst, line=line)
+def msg(src, dst, line=0x40, mtype=MsgType.DATA):
+    return Message(mtype, src, dst, line, 0)
 
 
 class TestTopology:
@@ -90,6 +91,51 @@ class TestDelivery:
         assert got
 
 
+class TestLanes:
+    def test_request_types_reach_the_directory(self):
+        engine, mesh = make_mesh()
+        directory, core = [], []
+        mesh.attach_directory(directory.append)
+        mesh.attach(7, core.append)
+        for mtype in REQUEST_TYPES:
+            mesh.send(msg(0, 7, mtype=mtype))
+        engine.run()
+        assert {m.mtype for m in directory} == set(REQUEST_TYPES)
+        assert core == []
+
+    def test_responses_reach_the_destination_core(self):
+        engine, mesh = make_mesh()
+        directory, core7, core9 = [], [], []
+        mesh.attach_directory(directory.append)
+        mesh.attach(7, core7.append)
+        mesh.attach(9, core9.append)
+        responses = [t for t in MsgType if t not in REQUEST_TYPES]
+        for mtype in responses:
+            mesh.send(msg(0, 7, mtype=mtype))
+        engine.run()
+        assert [m.mtype for m in core7] == responses
+        assert directory == [] and core9 == []
+
+    def test_response_to_coreless_node_names_the_node(self):
+        _, mesh = make_mesh()
+        mesh.attach_directory(lambda m: None)
+        mesh.attach(7, lambda m: None)
+        with pytest.raises(ValueError, match="node 12"):
+            mesh.send(msg(0, 12))
+
+    def test_request_without_directory_raises(self):
+        _, mesh = make_mesh()
+        mesh.attach(7, lambda m: None)
+        with pytest.raises(ValueError, match="no directory"):
+            mesh.send(msg(0, 7, mtype=MsgType.GETS))
+
+    def test_double_directory_attach_rejected(self):
+        _, mesh = make_mesh()
+        mesh.attach_directory(lambda m: None)
+        with pytest.raises(ValueError):
+            mesh.attach_directory(lambda m: None)
+
+
 class TestContention:
     def test_injection_port_serializes(self):
         """N messages from one node depart at endpoint_bw per cycle."""
@@ -132,10 +178,53 @@ class TestContention:
         assert stats["avg_latency"] >= 18
 
 
+def _module_state(module):
+    return {
+        name: value
+        for name, value in vars(module).items()
+        if not name.startswith("__")
+    }
+
+
 class TestMessagePool:
     def test_pool_stays_capped_across_runs(self):
-        # Every run retires more messages into the pool than it takes out;
-        # four runs in one process must not grow it past the cap.
+        # Every run retires more messages into its system's pool than it
+        # takes out; no pool may grow past the cap, and no two systems'
+        # meshes share one.
+        pools = []
         for _ in range(4):
-            run_workload(SystemConfig(), make_workload("uts", total_nodes=20))
-            assert 0 < len(message._msg_pool) <= message.MSG_POOL_CAP
+            system = System(SystemConfig())
+            system.run(make_workload("uts", total_nodes=20))
+            pool = system.mesh._msg_pool
+            assert 0 < len(pool) <= Mesh.MSG_POOL_CAP
+            assert all(pool is not other for other in pools)
+            pools.append(pool)
+
+    def test_request_ids_are_per_mesh(self):
+        _, first = make_mesh()
+        _, second = make_mesh()
+        assert [first.next_request_id() for _ in range(3)] == [0, 1, 2]
+        assert second.next_request_id() == 0
+
+    def test_recycle_respects_the_cap(self):
+        _, mesh = make_mesh()
+        for _ in range(Mesh.MSG_POOL_CAP + 5):
+            mesh.recycle_message(msg(0, 1))
+        assert len(mesh._msg_pool) == Mesh.MSG_POOL_CAP
+        reused = mesh._msg_pool[-1]
+        m = mesh.alloc_message(MsgType.ACK, 2, 3, 0x80, 9, None, None, None, None, None)
+        assert m is reused and (m.mtype, m.src, m.dst, m.req_id) == (MsgType.ACK, 2, 3, 9)
+
+    def test_run_leaves_noc_module_state_unchanged(self):
+        modules = (repro.noc, repro.noc.mesh, repro.noc.message)
+        before = [_module_state(m) for m in modules]
+        run_workload(SystemConfig(), make_workload("uts", total_nodes=20))
+        after = [_module_state(m) for m in modules]
+        for old, new in zip(before, after):
+            assert old.keys() == new.keys()
+            for name, value in old.items():
+                assert new[name] is value, name
+        # and none of it is a mutable container a run could fill
+        for state in after:
+            for name, value in state.items():
+                assert not isinstance(value, (list, dict, set)), name

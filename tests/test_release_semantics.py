@@ -25,14 +25,18 @@ class TestReleaseOrdering:
         """The release EXCH must reach the L2 after the flushed PUT_WTs."""
         system = System(SystemConfig(num_sms=1))
         order = []
-        original = system.l2._service
+        table = system.l2._service_table
 
-        def spy(msg):
-            if msg.mtype in (MsgType.PUT_WT, MsgType.ATOMIC):
+        def spy(service):
+            # Recorded at service time, when the bank pipeline runs it.
+            def spied(msg):
                 order.append(msg.mtype)
-            return original(msg)
+                return service(msg)
 
-        system.l2._service = spy
+            return spied
+
+        for mtype in (MsgType.PUT_WT, MsgType.ATOMIC):
+            table[mtype] = spy(table[mtype])
 
         def factory(tb, w):
             def program(ctx):
