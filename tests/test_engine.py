@@ -20,7 +20,9 @@ def _warm_engine() -> Engine:
     return engine
 
 
-@pytest.fixture(params=[Engine, _warm_engine], ids=["fresh", "warm"])
+# "python" is a fresh engine, "fast" a warm one.  The ids date from when
+# each engine core had its own class, and are kept so test ids stay stable.
+@pytest.fixture(params=[Engine, _warm_engine], ids=["python", "fast"])
 def engine_cls(request):
     return request.param
 
