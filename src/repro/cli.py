@@ -202,6 +202,8 @@ def _config_from_args(args, timeline: "int | None" = None) -> SystemConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.dispatch import DEFAULT_LEASE_EXPIRY_S, DEFAULT_POLL_S
+
     parser = argparse.ArgumentParser(
         prog="repro", description="GSI: GPU Stall Inspector (ISPASS 2016 repro)"
     )
@@ -274,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "machines; default: <cache>/queue/<name>); "
                                "attach external workers with "
                                "'repro worker --queue DIR'")
-    campaign.add_argument("--lease-expiry", type=float, default=300.0,
-                          metavar="S",
+    campaign.add_argument("--lease-expiry", type=float,
+                          default=DEFAULT_LEASE_EXPIRY_S, metavar="S",
                           help="reclaim a worker's claimed cell after its "
                                "lease heartbeat goes stale this long "
-                               "(default: 300)")
+                               "(default: %(default)g)")
     campaign.add_argument("--db", metavar="FILE", default=None,
                           help="also ingest the campaign matrix and cell "
                                "results into this SQLite results database "
@@ -291,12 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--queue", required=True, metavar="DIR",
                         help="queue directory created by "
                              "'repro campaign --workers/--queue'")
-    worker.add_argument("--poll", type=float, default=0.2, metavar="S",
+    worker.add_argument("--poll", type=float, default=DEFAULT_POLL_S,
+                        metavar="S",
                         help="idle poll period while waiting for claimable "
-                             "tasks (default: 0.2)")
-    worker.add_argument("--lease-expiry", type=float, default=300.0, metavar="S",
+                             "tasks (default: %(default)g)")
+    worker.add_argument("--lease-expiry", type=float,
+                        default=DEFAULT_LEASE_EXPIRY_S, metavar="S",
                         help="reclaim other workers' stale leases after this "
-                             "long (default: 300)")
+                             "long (default: %(default)g)")
     worker.add_argument("--max-tasks", type=int, default=None, metavar="N",
                         help="exit after claiming N tasks (default: run "
                              "until the campaign settles)")
@@ -658,6 +662,11 @@ def cmd_campaign(args) -> int:
               "plan; drop --no-plan (or drop --workers/--queue)",
               file=sys.stderr)
         return 2
+    if distributed and args.jobs > 1:
+        print("error: --jobs sizes the in-process pool; a queued campaign "
+              "runs on --workers N instead (drop --jobs, or drop "
+              "--workers/--queue)", file=sys.stderr)
+        return 2
     try:
         spec = load_campaign(args.spec) if args.spec else default_campaign(args.fast)
         spec = spec.subset(
@@ -666,29 +675,20 @@ def cmd_campaign(args) -> int:
             protocols=args.protocols.split(",") if args.protocols else None,
         )
         progress, telemetry = _batch_telemetry(args)
+        cache, queue = args.cache, None
         if distributed:
-            from repro.experiments.dispatch import run_campaign_distributed
+            from repro.experiments.dispatch import QueueDriver
 
-            queue_dir = args.queue
-            if queue_dir is None:
-                queue_dir = os.path.join(args.cache or ".sim-cache",
-                                         "queue", spec.name)
-            result = run_campaign_distributed(
-                spec, workers=args.workers, queue_dir=queue_dir,
-                cache_dir=args.cache, trace_dir=args.trace_dir,
-                progress=progress, telemetry=telemetry,
-                lease_expiry_s=args.lease_expiry,
-            )
-            if args.db:
-                from repro.results.db import ResultsDB
-
-                with ResultsDB(args.db) as db:
-                    db.ingest_campaign(result)
-        else:
-            result = run_campaign(spec, jobs=args.jobs, cache_dir=args.cache,
-                                  progress=progress, telemetry=telemetry,
-                                  plan=plan, trace_dir=args.trace_dir,
-                                  results_db=args.db)
+            queue_dir = args.queue or os.path.join(cache or ".sim-cache",
+                                                   "queue", spec.name)
+            cache = cache or os.path.join(queue_dir, "results")
+            queue = QueueDriver(queue_dir, workers=args.workers,
+                                lease_expiry_s=args.lease_expiry,
+                                name=spec.name)
+        result = run_campaign(spec, jobs=args.jobs, cache_dir=cache,
+                              progress=progress, telemetry=telemetry,
+                              plan=plan, trace_dir=args.trace_dir,
+                              results_db=args.db, queue=queue)
     except (OSError, ValueError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.report import format_campaign_matrix, matrix_attribution
 from repro.experiments.executor import ScenarioRecord, execute
+from repro.experiments.plan import build_plan
 from repro.experiments.spec import Scenario, load_json_or_yaml
 
 #: protocol axis values accepted by SystemConfig.scaled(protocol=...)
@@ -383,12 +384,17 @@ def run_campaign(
     plan: bool = False,
     trace_dir: "str | None" = None,
     results_db: "str | None" = None,
+    queue=None,
 ) -> CampaignResult:
     """Execute every cell (fanned out / cache-served) and wrap the matrix.
 
-    ``progress`` and ``telemetry`` pass straight through to
-    :func:`repro.experiments.executor.execute` (live per-cell lines and
-    per-cell telemetry series keyed by scenario hash).
+    The cells run as one plan through
+    :func:`repro.experiments.executor.execute`, which also owns
+    ``progress`` (live per-cell lines) and ``telemetry`` (per-cell series
+    keyed by scenario hash, plus ``index.json``); ``jobs`` sizes its
+    process pool, or ``queue`` (a
+    :class:`repro.experiments.dispatch.QueueDriver`) shards the plan over
+    the filesystem work queue instead.
 
     ``plan=True`` routes the cells through the replay-first planner
     (:mod:`repro.experiments.plan`): each frontend-identity group records
@@ -401,20 +407,11 @@ def run_campaign(
     into on completion: the stall-attribution matrix cells plus every
     cell's run/breakdown/stats rows (the ``campaign --db`` path).
     """
-    scenarios = spec.scenarios()
-    if plan:
-        from repro.experiments.plan import build_plan, execute_plan
-
-        built = build_plan(scenarios, trace_dir or default_trace_dir(cache_dir))
-        records = execute_plan(
-            built, jobs=jobs, cache_dir=cache_dir,
-            progress=progress, telemetry=telemetry,
-        )
-    else:
-        records = execute(
-            scenarios, jobs=jobs, cache_dir=cache_dir,
-            progress=progress, telemetry=telemetry,
-        )
+    traces = (trace_dir or default_trace_dir(cache_dir)) if plan else None
+    records = execute(
+        build_plan(spec.scenarios(), traces), jobs=jobs, cache_dir=cache_dir,
+        progress=progress, telemetry=telemetry, queue=queue,
+    )
     result = CampaignResult(spec=spec, records=records)
     if results_db is not None:
         from repro.results.db import ResultsDB

@@ -1,10 +1,10 @@
 """Filesystem-backed distributed campaign queue.
 
 One campaign, N workers, any mix of processes and machines sharing a
-filesystem view.  The coordinator plans the campaign
-(:mod:`repro.experiments.plan`), writes one task file per cell into a
-queue directory, and merges finished cells back out of the shared
-content-addressed result cache; workers -- spawned locally by
+filesystem view.  The coordinator writes one task file per planned cell
+(:mod:`repro.experiments.plan`) into a queue directory and reads
+finished cells back out of the shared content-addressed result cache;
+workers -- spawned locally by
 ``repro campaign --workers N`` or attached from anywhere with
 ``repro worker --queue DIR`` -- drain the queue until the campaign is
 complete.  Every coordination step is an atomic filesystem operation, so
@@ -31,11 +31,14 @@ Replay tasks become claimable only once their group's trace file exists,
 so record cells naturally run first; if a record task fails, its
 dependents fail fast instead of waiting forever.
 
-Byte-identity is preserved by construction: workers run the same
-:func:`simulate_planned` entry point and the same JSON round-trip
-normalization as the in-process executor, and the coordinator merges in
-input order from the same cache -- so any worker count, interleaving, or
-kill/resume history produces results bit-identical to ``--jobs 1``.
+This module is transport only.  The coordinator, :class:`QueueDriver`,
+is one of the two drivers of the executor's task loop
+(:func:`repro.experiments.executor.execute`), which builds the records,
+progress, telemetry index and database ingest exactly as for the
+in-process pool.  Workers run each task through the pool's own
+:func:`~repro.experiments.executor._run_task`, so any worker count,
+interleaving, or kill/resume history produces results bit-identical to
+``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -46,14 +49,11 @@ import os
 import threading
 import time
 import traceback
-from typing import Callable
+from dataclasses import dataclass
 
-from repro.experiments import executor
-from repro.experiments.campaign import CampaignResult, CampaignSpec, default_trace_dir
-from repro.experiments.executor import ScenarioRecord, _cache_load, _cache_store
-from repro.experiments.plan import Plan, build_plan, simulate_planned
+from repro.experiments.executor import _cache_load, _cache_store, _run_task
+from repro.experiments.plan import Plan
 from repro.experiments.spec import Scenario
-from repro.system import SimResult
 
 QUEUE_VERSION = 1
 DEFAULT_LEASE_EXPIRY_S = 300.0
@@ -70,13 +70,6 @@ class QueueError(RuntimeError):
 # ---------------------------------------------------------------------------
 # small atomic-file helpers
 # ---------------------------------------------------------------------------
-
-def _write_json_atomic(path: str, payload: dict) -> None:
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
-
 
 def _read_json(path: str) -> dict | None:
     """Tolerant read: concurrent movers/writers make missing or momentarily
@@ -154,7 +147,7 @@ def create_or_attach_queue(
         ],
     }
     if manifest is None:
-        _write_json_atomic(manifest_path(queue_dir), wanted)
+        _cache_store(queue_dir, "manifest", wanted)
         manifest = wanted
     elif manifest.get("plan_id") != wanted["plan_id"]:
         raise QueueError(
@@ -178,7 +171,7 @@ def create_or_attach_queue(
                 if other.kind == "record" and other.group == cell.group:
                     task["after"] = "%04d" % other.index
                     break
-        _write_json_atomic(path, task)
+        _cache_store(os.path.join(queue_dir, "todo"), task["id"], task)
     return manifest
 
 
@@ -301,10 +294,9 @@ def _process_task(
         cached = payload is not None
         record_to = task.get("record_to")
         if not cached or (record_to and not os.path.exists(record_to)):
-            fresh = simulate_planned(task, telemetry=telemetry)
-            fresh = json.loads(json.dumps(fresh, sort_keys=True))
+            # a cached record task re-runs only to restore its lost trace
+            fresh = _run_task((task, None if cached else results_dir), telemetry)
             if not cached:
-                _cache_store(results_dir, key, fresh)
                 payload = fresh
         marker = {
             "id": task_id,
@@ -318,11 +310,12 @@ def _process_task(
             "pid": None if cached else payload.get("pid"),
             "worker": worker_id,
         }
-        _write_json_atomic(_state_path(queue_dir, "done", task_id), marker)
+        _cache_store(os.path.join(queue_dir, "done"), task_id, marker)
         outcome = "cached" if cached else "executed"
     except Exception as exc:
-        _write_json_atomic(
-            _state_path(queue_dir, "failed", task_id),
+        _cache_store(
+            os.path.join(queue_dir, "failed"),
+            task_id,
             {
                 "id": task_id,
                 "name": task.get("scenario", {}).get("name", task_id),
@@ -394,165 +387,89 @@ def _worker_entry(queue_dir: str, index: int, lease_expiry_s: float, poll_s: flo
 # coordinator
 # ---------------------------------------------------------------------------
 
-def run_campaign_distributed(
-    spec: CampaignSpec,
-    workers: int = 2,
-    queue_dir: str | None = None,
-    cache_dir: str | None = None,
-    trace_dir: str | None = None,
-    progress: Callable[[str, float, bool, int, int], None] | None = None,
-    telemetry: dict | None = None,
-    lease_expiry_s: float = DEFAULT_LEASE_EXPIRY_S,
-    poll_s: float = DEFAULT_POLL_S,
-) -> CampaignResult:
-    """Plan, shard, and merge one campaign over a shared work queue.
+@dataclass
+class QueueDriver:
+    """The filesystem-queue driver of the executor's task loop.
 
-    Spawns ``workers`` local worker processes against ``queue_dir`` (with
-    ``workers=0`` it only coordinates -- external ``repro worker --queue``
-    processes must drain the queue), streams per-cell progress as done
-    markers appear, reclaims expired leases, and merges results from the
-    shared cache in input order.  Cells already settled when attaching
-    (an earlier interrupted or completed run) are reported as cached,
-    exactly like the in-process executor's cache hits.
+    Pass it as ``execute(plan, queue=...)`` (or ``run_campaign(...,
+    queue=...)``).  It enqueues the plan into ``queue_dir`` (attaching to
+    an existing queue of the same plan), spawns ``workers`` local worker
+    processes -- with ``workers=0`` it only coordinates, and external
+    ``repro worker --queue`` processes must drain the queue -- and yields
+    each cell as its done marker appears, with its payload read from the
+    shared result cache.  Cells already settled when attaching (an earlier
+    interrupted or completed run) are reported as cached, exactly like
+    the pool's cache hits.  ``name`` labels the queue's manifest.
     """
-    if queue_dir is None:
-        raise ValueError("run_campaign_distributed needs a queue_dir")
-    results_dir = cache_dir if cache_dir is not None else os.path.join(queue_dir, "results")
-    traces = trace_dir or default_trace_dir(results_dir)
-    scenarios = spec.scenarios()
-    plan = build_plan(scenarios, traces)
-    for cell in plan.cells:
-        if cell.kind != "replay":
-            cell.scenario.validate()
-    manifest = create_or_attach_queue(
-        queue_dir, plan, spec.name, results_dir, telemetry=telemetry
-    )
-    results_dir = manifest["results_dir"]
-    total = len(plan.cells)
-    preexisting = set(_ids_in(queue_dir, "done"))
 
-    procs: list[multiprocessing.Process] = []
-    settled_done = len(preexisting) + len(_ids_in(queue_dir, "failed"))
-    if workers > 0 and settled_done < total:
-        for index in range(workers):
-            proc = multiprocessing.Process(
-                target=_worker_entry,
-                args=(queue_dir, index, lease_expiry_s, poll_s),
-                daemon=True,
-            )
-            proc.start()
-            procs.append(proc)
+    queue_dir: str
+    workers: int = 2
+    lease_expiry_s: float = DEFAULT_LEASE_EXPIRY_S
+    poll_s: float = DEFAULT_POLL_S
+    name: str = "campaign"
 
-    seen: set[str] = set()
-    done = 0
-    try:
-        while True:
-            for task_id in _ids_in(queue_dir, "done"):
-                if task_id in seen:
-                    continue
-                seen.add(task_id)
-                done += 1
-                if progress is not None:
-                    marker = _read_json(_state_path(queue_dir, "done", task_id)) or {}
-                    progress(
-                        marker.get("name", task_id),
-                        float(marker.get("elapsed_s", 0.0)),
-                        task_id in preexisting or bool(marker.get("cached")),
-                        done,
-                        total,
-                    )
-            failures = _ids_in(queue_dir, "failed")
-            if failures:
-                marker = _read_json(_state_path(queue_dir, "failed", failures[0])) or {}
-                raise QueueError(
-                    "campaign cell %s (%s) failed on worker %s: %s"
-                    % (failures[0], marker.get("name", "?"),
-                       marker.get("worker", "?"), marker.get("error", "unknown"))
-                )
-            if done >= total:
-                break
-            if procs and all(not p.is_alive() for p in procs):
-                raise QueueError(
-                    "all %d local workers exited with %d/%d cells settled "
-                    "(worker exit codes: %s)"
-                    % (len(procs), done, total, [p.exitcode for p in procs])
-                )
-            reclaim_expired(queue_dir, lease_expiry_s)
-            time.sleep(poll_s)
-    finally:
-        for proc in procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=5.0)
-
-    records = collect_records(plan, results_dir, queue_dir, preexisting)
-    if telemetry is not None:
-        _write_queue_telemetry_index(telemetry, plan, records)
-    return CampaignResult(spec=spec, records=records)
-
-
-def collect_records(
-    plan: Plan,
-    results_dir: str,
-    queue_dir: str,
-    preexisting: set[str] | None = None,
-) -> list[ScenarioRecord]:
-    """Merge a settled queue back into input-order :class:`ScenarioRecord` s.
-
-    Results come from the content-addressed cache (the queue only holds
-    provenance markers); a missing entry means the cache was pruned out
-    from under the queue, which is unrecoverable without re-running.
-    """
-    preexisting = preexisting or set()
-    records: list[ScenarioRecord] = []
-    for cell in plan.cells:
-        task_id = "%04d" % cell.index
-        key = cell.run_key()
-        payload = _cache_load(results_dir, key)
-        if payload is None:
-            raise QueueError(
-                "cell %s (%s) is marked done but its result %s.json is "
-                "missing from %s -- the cache was pruned under a live "
-                "queue; delete %s and re-run"
-                % (task_id, cell.name, key, results_dir, queue_dir)
-            )
-        marker = _read_json(_state_path(queue_dir, "done", task_id)) or {}
-        is_cached = task_id in preexisting or bool(marker.get("cached"))
-        result = SimResult.from_dict(payload["result"])
-        scenario = cell.run if cell.kind == "replay" else cell.scenario
-        record = ScenarioRecord(
-            scenario=scenario,
-            result=result,
-            elapsed_s=float(payload["elapsed_s"]),
-            cached=is_cached,
-            violations=scenario.check(result),
-            t_start_s=None if is_cached else payload.get("t_start"),
-            t_end_s=None if is_cached else payload.get("t_end"),
-            worker_pid=None if is_cached else payload.get("pid"),
+    def __call__(self, plan: Plan, cache_dir: str | None, telemetry: dict | None):
+        if cache_dir is None:
+            raise ValueError("the queue driver needs a cache_dir: workers "
+                             "hand their results back through it")
+        manifest = create_or_attach_queue(
+            self.queue_dir, plan, self.name, cache_dir, telemetry=telemetry
         )
-        if executor.record_hook is not None:
-            executor.record_hook(record)
-        records.append(record)
-    return records
+        return len(plan.cells), self._settle(plan, manifest["results_dir"])
 
+    def _settle(self, plan: Plan, results_dir: str):
+        queue_dir, total = self.queue_dir, len(plan.cells)
+        preexisting = set(_ids_in(queue_dir, "done"))
+        procs: list[multiprocessing.Process] = []
+        if self.workers > 0 and len(preexisting) + len(_ids_in(queue_dir, "failed")) < total:
+            for index in range(self.workers):
+                proc = multiprocessing.Process(
+                    target=_worker_entry,
+                    args=(queue_dir, index, self.lease_expiry_s, self.poll_s),
+                    daemon=True,
+                )
+                proc.start()
+                procs.append(proc)
 
-def _write_queue_telemetry_index(
-    telemetry: dict, plan: Plan, records: list[ScenarioRecord]
-) -> None:
-    """Same shape as the executor's ``index.json``, over every planned cell."""
-    os.makedirs(telemetry["out_dir"], exist_ok=True)
-    index = {
-        "cells": {
-            cell.name: {
-                "key": cell.run_key(),
-                "cached": record.cached,
-                "kind": cell.kind,
-            }
-            for cell, record in zip(plan.cells, records)
-        },
-        "sample_every": int(telemetry.get("sample_every", 5000)),
-    }
-    path = os.path.join(telemetry["out_dir"], "index.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(index, fh, sort_keys=True, indent=2)
+        seen: set[str] = set()
+        try:
+            while True:
+                for task_id in _ids_in(queue_dir, "done"):
+                    if task_id in seen:
+                        continue
+                    seen.add(task_id)
+                    cell = plan.cells[int(task_id)]
+                    payload = _cache_load(results_dir, cell.run_key())
+                    if payload is None:
+                        raise QueueError(
+                            "cell %s (%s) is marked done but its result %s.json is "
+                            "missing from %s -- the cache was pruned under a live "
+                            "queue; delete %s and re-run"
+                            % (task_id, cell.name, cell.run_key(), results_dir, queue_dir)
+                        )
+                    marker = _read_json(_state_path(queue_dir, "done", task_id)) or {}
+                    yield cell, payload, task_id in preexisting or bool(marker.get("cached"))
+                failures = _ids_in(queue_dir, "failed")
+                if failures:
+                    marker = _read_json(_state_path(queue_dir, "failed", failures[0])) or {}
+                    raise QueueError(
+                        "campaign cell %s (%s) failed on worker %s: %s"
+                        % (failures[0], marker.get("name", "?"),
+                           marker.get("worker", "?"), marker.get("error", "unknown"))
+                    )
+                if len(seen) >= total:
+                    return
+                if procs and all(not p.is_alive() for p in procs):
+                    raise QueueError(
+                        "all %d local workers exited with %d/%d cells settled "
+                        "(worker exit codes: %s)"
+                        % (len(procs), len(seen), total, [p.exitcode for p in procs])
+                    )
+                reclaim_expired(queue_dir, self.lease_expiry_s)
+                time.sleep(self.poll_s)
+        finally:
+            for proc in procs:
+                proc.join(timeout=10.0)
+                if proc.is_alive():  # pragma: no cover - defensive
+                    proc.terminate()
+                    proc.join(timeout=5.0)

@@ -26,10 +26,11 @@ recorded file's content fingerprint rather than its path
 (:meth:`TraceReplayWorkload.cache_key_inputs`), so plans are stable across
 machines and trace-store locations.
 
-:func:`execute_plan` runs a plan through the ordinary executor machinery
-in two phases (records/executes, then replays once their traces exist) and
-returns :class:`ScenarioRecord` s in input order; the distributed queue
-(:mod:`repro.experiments.dispatch`) runs the same plan task-by-task.
+A plan is the one representation of a batch: an unplanned sweep is
+``build_plan(scenarios, None)``, every cell an ``execute`` with no replay
+edges.  This module only plans; :func:`repro.experiments.executor.execute`
+runs every plan through one task loop, with the in-process pool or the
+filesystem queue (:mod:`repro.experiments.dispatch`) as its driver.
 """
 
 from __future__ import annotations
@@ -39,22 +40,12 @@ import enum
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.experiments import executor
-from repro.experiments.executor import (
-    ScenarioRecord,
-    _cache_load,
-    _cache_store,
-    cell_telemetry_config,
-    simulate_scenario,
-)
 from repro.experiments.spec import Scenario
 from repro.sim.config import LocalMemory, SystemConfig
-from repro.system import SimResult
 
 #: config fields a recorded trace may be replayed under with different
 #: values (memory-side axes; see ``trace/replay.py``).  Deliberately
@@ -143,13 +134,6 @@ class Plan:
             if cell.kind != "replay":
                 seen.add(cell.scenario.key())
         return len(seen)
-
-    def summary(self) -> str:
-        c = self.counts()
-        return (
-            "%d cells -> %d full executions (%d recording) + %d replays"
-            % (len(self.cells), c["execute"] + c["record"], c["record"], c["replay"])
-        )
 
     def identity(self) -> str:
         """Stable hash of the plan's inputs; queue manifests pin it so a
@@ -248,7 +232,7 @@ def _replay_scenario(cell: Scenario, lead: Scenario, trace_path: str) -> Scenari
     )
 
 
-def build_plan(scenarios: Sequence[Scenario], trace_dir: str) -> Plan:
+def build_plan(scenarios: Sequence[Scenario], trace_dir: str | None) -> Plan:
     """Group cells by frontend identity and emit a record/replay plan.
 
     Within each multi-cell group the first cell (input order) records; the
@@ -256,11 +240,16 @@ def build_plan(scenarios: Sequence[Scenario], trace_dir: str) -> Plan:
     simulation inputs, which the executor's key-dedup serves for free.
     Ungroupable or solitary cells stay plain executions.  Input order is
     preserved; the plan never reorders results.
+
+    ``trace_dir=None`` plans no replay edges: every cell is an
+    ``execute``, and nothing is built or fingerprinted to group them.
     """
     cells = [
         PlannedCell(index=i, kind="execute", scenario=s, run=s)
         for i, s in enumerate(scenarios)
     ]
+    if trace_dir is None:
+        return Plan(cells=cells)
     groups: dict[str, list[PlannedCell]] = {}
     for cell in cells:
         if not recordable(cell.scenario):
@@ -289,240 +278,3 @@ def build_plan(scenarios: Sequence[Scenario], trace_dir: str) -> Plan:
             lead.group = gid
             lead.trace_path = trace_path
     return Plan(cells=cells, trace_dir=trace_dir)
-
-
-# ---------------------------------------------------------------------------
-# execution
-# ---------------------------------------------------------------------------
-
-def simulate_planned(task: dict, telemetry: dict | None = None) -> dict:
-    """Worker entry point for one planned task (picklable, dict-in/dict-out).
-
-    ``record`` tasks whose trace file is missing run execution-driven with
-    a :class:`TraceRecorder` attached and publish the trace atomically
-    (write to a pid-suffixed temp file, then ``os.replace``); recording is
-    provably inert on the result, so the payload -- and therefore the
-    cache entry -- is byte-identical to a plain execution of the same
-    scenario.  Everything else defers to :func:`simulate_scenario`.
-    """
-    record_to = task.get("record_to")
-    if not record_to or os.path.exists(record_to):
-        return simulate_scenario(task["scenario"], telemetry=telemetry)
-
-    import time
-
-    from repro.trace import record_workload, save_trace
-
-    scenario = Scenario.from_dict(task["scenario"])
-    key = scenario.key()
-    tel_cfg = cell_telemetry_config(telemetry, key, scenario.name)
-    t0 = time.perf_counter()
-    result, trace = record_workload(
-        scenario.build_config(),
-        scenario.build_workload(),
-        name=scenario.workload,
-        workload_args=scenario.workload_args,
-        telemetry=tel_cfg,
-    )
-    t1 = time.perf_counter()
-    os.makedirs(os.path.dirname(record_to) or ".", exist_ok=True)
-    tmp = "%s.tmp.%d" % (record_to, os.getpid())
-    save_trace(trace, tmp)
-    # Concurrent recorders of the same group write identical bytes, so a
-    # lost race is harmless: last rename wins with the same content.
-    os.replace(tmp, record_to)
-    return {
-        "version": executor.CACHE_VERSION,
-        "key": key,
-        "result": result.to_dict(),
-        "elapsed_s": t1 - t0,
-        "t_start": t0,
-        "t_end": t1,
-        "pid": os.getpid(),
-    }
-
-
-def execute_plan(
-    plan: Plan,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    progress: Callable[[str, float, bool, int, int], None] | None = None,
-    telemetry: dict | None = None,
-) -> list[ScenarioRecord]:
-    """Run a plan in-process: records/executes first, then replays.
-
-    Semantics mirror :func:`repro.experiments.executor.execute` exactly --
-    same cache, same JSON normalization, same input-order records, same
-    progress callback shape -- so planned results are byte-identical to
-    unplanned ones wherever replay is exact, and planned serial results
-    are byte-identical to planned distributed ones always.
-    """
-    phase1 = [c for c in plan.cells if c.kind != "replay"]
-    phase2 = [c for c in plan.cells if c.kind == "replay"]
-
-    seen: set[str] = set()
-    for cell in plan.cells:
-        if cell.name in seen:
-            raise ValueError(
-                "duplicate scenario name %r: reports key results by name, so "
-                "one of the two would silently vanish" % cell.name
-            )
-        seen.add(cell.name)
-    for cell in phase1:
-        cell.scenario.validate()
-
-    # --- phase 1: cache hits, then fresh records/executions -------------
-    payloads: dict[str, dict] = {}
-    cached: dict[str, bool] = {}
-    cell_name: dict[str, str] = {}
-    todo: list[tuple[str, bool, dict]] = []  # (key, store_result, task)
-    pending: set[str] = set()
-    for cell in phase1:
-        key = cell.run_key()
-        cell_name.setdefault(key, cell.name)
-        if key in pending:
-            continue
-        if key in payloads:
-            # Already resolved; a cached record cell may still need its
-            # trace regenerated (handled when first seen).
-            continue
-        hit = _cache_load(cache_dir, key)
-        if hit is not None:
-            payloads[key] = hit
-            cached[key] = True
-            if cell.kind == "record" and not os.path.exists(cell.trace_path):
-                # Result is cache-served but the trace store lost the
-                # file: re-record for the side effect, discard the payload.
-                todo.append((key, False, cell.task()))
-        else:
-            pending.add(key)
-            todo.append((key, True, cell.task()))
-
-    total1 = len(payloads) + len(pending)
-    total = total1 + len(phase2)
-    done = 0
-    if progress is not None:
-        for key, payload in payloads.items():
-            done += 1
-            progress(cell_name[key], float(payload["elapsed_s"]), True, done, total)
-
-    if todo:
-        worker = simulate_planned
-        if telemetry is not None:
-            os.makedirs(telemetry["out_dir"], exist_ok=True)
-            worker = functools.partial(simulate_planned, telemetry=telemetry)
-        tasks = [task for _, _, task in todo]
-        if jobs > 1 and len(todo) > 1:
-            pool = multiprocessing.Pool(min(jobs, len(todo)))
-            with pool:
-                results = zip(todo, pool.imap(worker, tasks))
-                done = _consume_planned(results, payloads, cached, cache_dir,
-                                        progress, cell_name, done, total)
-        else:
-            results = ((item, worker(task)) for item, task in zip(todo, tasks))
-            done = _consume_planned(results, payloads, cached, cache_dir,
-                                    progress, cell_name, done, total)
-
-    # --- phase 2: replays (their traces now exist) -----------------------
-    replay_records: dict[str, ScenarioRecord] = {}
-    if phase2:
-        runs = [cell.run for cell in phase2]
-        for run in runs:
-            run.validate()
-        offset_progress = None
-        if progress is not None:
-            base = done
-
-            def offset_progress(name, elapsed_s, is_cached, p_done, p_total):
-                progress(name, elapsed_s, is_cached, base + p_done, base + p_total)
-
-        records2 = executor.execute(
-            runs, jobs=jobs, cache_dir=cache_dir,
-            progress=offset_progress, telemetry=telemetry,
-        )
-        for cell, record in zip(phase2, records2):
-            cell.key = record.scenario.key()
-            replay_records[cell.name] = record
-
-    # --- merge, in input order -------------------------------------------
-    records: list[ScenarioRecord] = []
-    for cell in plan.cells:
-        if cell.kind == "replay":
-            records.append(replay_records[cell.name])
-            continue
-        payload = payloads[cell.run_key()]
-        result = SimResult.from_dict(payload["result"])
-        is_cached = cached[cell.run_key()]
-        record = ScenarioRecord(
-            scenario=cell.scenario,
-            result=result,
-            elapsed_s=float(payload["elapsed_s"]),
-            cached=is_cached,
-            violations=cell.scenario.check(result),
-            t_start_s=None if is_cached else payload.get("t_start"),
-            t_end_s=None if is_cached else payload.get("t_end"),
-            worker_pid=None if is_cached else payload.get("pid"),
-        )
-        if executor.record_hook is not None:
-            executor.record_hook(record)
-        records.append(record)
-
-    if telemetry is not None:
-        _write_plan_telemetry_index(telemetry, plan, cached, replay_records)
-    return records
-
-
-def _consume_planned(
-    results,
-    payloads: dict,
-    cached: dict,
-    cache_dir: str | None,
-    progress,
-    cell_name: dict,
-    done: int,
-    total: int,
-) -> int:
-    """Fold fresh planned-task payloads in as they arrive (the plan-aware
-    sibling of ``executor._consume_fresh``: trace-regeneration tasks keep
-    their cache-served payload and stay invisible to progress)."""
-    for (key, store, _), payload in results:
-        if not store:
-            continue
-        payload = json.loads(json.dumps(payload, sort_keys=True))
-        _cache_store(cache_dir, key, payload)
-        payloads[key] = payload
-        cached[key] = False
-        done += 1
-        if progress is not None:
-            progress(cell_name[key], float(payload["elapsed_s"]), False, done, total)
-    return done
-
-
-def _write_plan_telemetry_index(
-    telemetry: dict, plan: Plan, cached: dict, replay_records: dict
-) -> None:
-    """Merged ``index.json`` over every planned cell (phase-2's partial
-    index from the inner ``execute()`` call is overwritten here)."""
-    cells = {}
-    for cell in plan.cells:
-        if cell.kind == "replay":
-            record = replay_records[cell.name]
-            cells[cell.name] = {
-                "key": cell.run_key(),
-                "cached": record.cached,
-                "kind": cell.kind,
-            }
-        else:
-            cells[cell.name] = {
-                "key": cell.run_key(),
-                "cached": cached[cell.run_key()],
-                "kind": cell.kind,
-            }
-    os.makedirs(telemetry["out_dir"], exist_ok=True)
-    index = {
-        "cells": cells,
-        "sample_every": int(telemetry.get("sample_every", 5000)),
-    }
-    path = os.path.join(telemetry["out_dir"], "index.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(index, fh, sort_keys=True, indent=2)

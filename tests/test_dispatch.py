@@ -15,12 +15,12 @@ import pytest
 from repro import cli
 from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.dispatch import (
+    QueueDriver,
     QueueError,
     _claim_next,
     create_or_attach_queue,
     load_manifest,
     reclaim_expired,
-    run_campaign_distributed,
     run_worker,
 )
 from repro.experiments.plan import build_plan
@@ -59,6 +59,13 @@ def make_queue(tmp_path, data=TINY):
     plan = build_plan(spec_of(data).scenarios(), str(tmp_path / "traces"))
     create_or_attach_queue(queue, plan, data["name"], str(tmp_path / "cache"))
     return queue, plan
+
+
+def run_queued(spec, queue_dir, workers, cache_dir, trace_dir=None, **kwargs):
+    """A replay-first campaign run on the queue driver."""
+    queue = QueueDriver(queue_dir, workers=workers, poll_s=0.01, name=spec.name)
+    return run_campaign(spec, plan=True, cache_dir=cache_dir,
+                        trace_dir=trace_dir, queue=queue, **kwargs)
 
 
 def stable(record) -> str:
@@ -191,9 +198,9 @@ class TestCoordinator:
         traces = str(tmp_path / "traces")
         serial = run_campaign(spec, jobs=1, cache_dir=str(tmp_path / "c1"),
                               plan=True, trace_dir=traces)
-        dist = run_campaign_distributed(
-            spec_of(TINY), workers=2, queue_dir=str(tmp_path / "q"),
-            cache_dir=str(tmp_path / "c2"), trace_dir=traces, poll_s=0.01,
+        dist = run_queued(
+            spec_of(TINY), str(tmp_path / "q"), 2,
+            cache_dir=str(tmp_path / "c2"), trace_dir=traces,
         )
         assert [stable(r) for r in serial.records] \
             == [stable(r) for r in dist.records]
@@ -202,29 +209,46 @@ class TestCoordinator:
 
     def test_progress_and_second_invocation_cached(self, tmp_path):
         calls = []
-        dist = run_campaign_distributed(
-            spec_of(TINY), workers=2, queue_dir=str(tmp_path / "q"),
-            cache_dir=str(tmp_path / "c"), poll_s=0.01,
+        dist = run_queued(
+            spec_of(TINY), str(tmp_path / "q"), 2,
+            cache_dir=str(tmp_path / "c"),
             progress=lambda *a: calls.append(a),
         )
         assert len(calls) == 4
         assert [c[3] for c in calls] == [1, 2, 3, 4]
         assert not dist.fully_cached
-        again = run_campaign_distributed(
-            spec_of(TINY), workers=2, queue_dir=str(tmp_path / "q"),
-            cache_dir=str(tmp_path / "c"), poll_s=0.01,
+        again = run_queued(
+            spec_of(TINY), str(tmp_path / "q"), 2,
+            cache_dir=str(tmp_path / "c"),
         )
         assert again.fully_cached
         assert [stable(r) for r in again.records] \
             == [stable(r) for r in dist.records]
 
+    def test_telemetry_index_matches_planned_serial(self, tmp_path):
+        def index(path):
+            data = json.loads(path.read_text())
+            for cell in data["cells"].values():
+                assert set(cell) == {"key", "cached", "kind"}
+                cell.pop("cached")
+            return data
+
+        traces = str(tmp_path / "traces")
+        run_campaign(spec_of(TINY), cache_dir=str(tmp_path / "c1"), plan=True,
+                     trace_dir=traces, telemetry={"out_dir": str(tmp_path / "t1")})
+        run_queued(spec_of(TINY), str(tmp_path / "q"), 2,
+                   cache_dir=str(tmp_path / "c2"), trace_dir=traces,
+                   telemetry={"out_dir": str(tmp_path / "t2")})
+        assert index(tmp_path / "t1" / "index.json") \
+            == index(tmp_path / "t2" / "index.json")
+
     def test_zero_workers_merges_settled_queue(self, tmp_path):
         queue, plan = make_queue(tmp_path)
         run_worker(queue, poll_s=0.01)
-        result = run_campaign_distributed(
-            spec_of(TINY), workers=0, queue_dir=queue,
+        result = run_queued(
+            spec_of(TINY), queue, 0,
             cache_dir=str(tmp_path / "cache"),
-            trace_dir=str(tmp_path / "traces"), poll_s=0.01,
+            trace_dir=str(tmp_path / "traces"),
         )
         assert len(result.records) == 4
         assert result.fully_cached  # settled before this invocation
@@ -237,10 +261,10 @@ class TestCoordinator:
             json.dump({"id": "0000", "name": "hist/default/gpu",
                        "error": "boom", "worker": "w0"}, fh)
         with pytest.raises(QueueError, match="boom"):
-            run_campaign_distributed(
-                spec_of(TINY), workers=1, queue_dir=queue,
+            run_queued(
+                spec_of(TINY), queue, 1,
                 cache_dir=str(tmp_path / "cache"),
-                trace_dir=str(tmp_path / "traces"), poll_s=0.01,
+                trace_dir=str(tmp_path / "traces"),
             )
 
     def test_pruned_cache_under_queue_raises(self, tmp_path):
@@ -250,10 +274,10 @@ class TestCoordinator:
             if name.endswith(".json"):
                 os.remove(tmp_path / "cache" / name)
         with pytest.raises(QueueError, match="missing"):
-            run_campaign_distributed(
-                spec_of(TINY), workers=0, queue_dir=queue,
+            run_queued(
+                spec_of(TINY), queue, 0,
                 cache_dir=str(tmp_path / "cache"),
-                trace_dir=str(tmp_path / "traces"), poll_s=0.01,
+                trace_dir=str(tmp_path / "traces"),
             )
 
 
@@ -291,10 +315,10 @@ class TestCrashResume:
         assert os.listdir(claimed_dir) == []
 
         # merged results are bit-identical to an untouched serial run
-        merged = run_campaign_distributed(
-            spec_of(SLOW), workers=0, queue_dir=queue,
+        merged = run_queued(
+            spec_of(SLOW), queue, 0,
             cache_dir=str(tmp_path / "cache"),
-            trace_dir=str(tmp_path / "traces"), poll_s=0.01,
+            trace_dir=str(tmp_path / "traces"),
         )
         serial = run_campaign(spec_of(SLOW), jobs=1,
                               cache_dir=str(tmp_path / "c-serial"),
@@ -320,3 +344,8 @@ class TestWorkerCli:
         rc = cli.main(["campaign", "--fast", "--workers", "2", "--no-plan"])
         assert rc == 2
         assert "replay-first" in capsys.readouterr().err
+
+    def test_campaign_jobs_with_workers_rejected(self, capsys):
+        rc = cli.main(["campaign", "--fast", "--workers", "2", "--jobs", "2"])
+        assert rc == 2
+        assert "--jobs" in capsys.readouterr().err

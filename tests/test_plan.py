@@ -8,15 +8,13 @@ import os
 
 import pytest
 
-from repro.experiments import executor
 from repro.experiments.campaign import CampaignSpec, run_campaign
+from repro.experiments.executor import execute, simulate_scenario
 from repro.experiments.plan import (
     REPLAY_SAFE_FIELDS,
     build_plan,
-    execute_plan,
     frontend_identity,
     recordable,
-    simulate_planned,
 )
 from repro.experiments.spec import Scenario
 
@@ -184,10 +182,10 @@ class TestExecutePlan:
             scenario("gpu", config={"protocol": "gpu"}),
             scenario("denovo", config={"protocol": "denovo"}),
         ]
-        plain = executor.execute([s for s in scenarios])
+        plain = execute([s for s in scenarios])
         plan = build_plan(scenarios, str(tmp_path / "traces"))
         assert plan.counts()["replay"] == 1
-        planned = execute_plan(plan, cache_dir=str(tmp_path / "cache"))
+        planned = execute(plan, cache_dir=str(tmp_path / "cache"))
         assert json.dumps(plain[0].result.to_dict(), sort_keys=True) \
             == json.dumps(planned[0].result.to_dict(), sort_keys=True)
         replayed = planned[1].result
@@ -206,31 +204,31 @@ class TestExecutePlan:
 
         traces = str(tmp_path / "t")
         p1 = build_plan(tiny_spec().scenarios(), traces)
-        r1 = execute_plan(p1, jobs=1, cache_dir=str(tmp_path / "c1"))
+        r1 = execute(p1, jobs=1, cache_dir=str(tmp_path / "c1"))
         p2 = build_plan(tiny_spec().scenarios(), traces)
-        r2 = execute_plan(p2, jobs=3, cache_dir=str(tmp_path / "c2"))
+        r2 = execute(p2, jobs=3, cache_dir=str(tmp_path / "c2"))
         assert [stable(r) for r in r1] == [stable(r) for r in r2]
 
     def test_second_run_fully_cached(self, tmp_path):
         scenarios = tiny_spec().scenarios()
         plan = build_plan(scenarios, str(tmp_path / "t"))
-        execute_plan(plan, cache_dir=str(tmp_path / "c"))
-        again = execute_plan(build_plan(tiny_spec().scenarios(),
-                                        str(tmp_path / "t")),
-                             cache_dir=str(tmp_path / "c"))
+        execute(plan, cache_dir=str(tmp_path / "c"))
+        again = execute(build_plan(tiny_spec().scenarios(),
+                                   str(tmp_path / "t")),
+                        cache_dir=str(tmp_path / "c"))
         assert all(r.cached for r in again)
 
     def test_lost_trace_regenerated_from_cached_record(self, tmp_path):
         scenarios = tiny_spec().scenarios()
         plan = build_plan(scenarios, str(tmp_path / "t"))
-        execute_plan(plan, cache_dir=str(tmp_path / "c"))
+        execute(plan, cache_dir=str(tmp_path / "c"))
         trace = plan.cells[0].trace_path
         os.remove(trace)
         # replays' cache keys fold the trace content, which is
         # deterministic -- so the regenerated file serves them from cache
-        again = execute_plan(build_plan(tiny_spec().scenarios(),
-                                        str(tmp_path / "t")),
-                             cache_dir=str(tmp_path / "c"))
+        again = execute(build_plan(tiny_spec().scenarios(),
+                                   str(tmp_path / "t")),
+                        cache_dir=str(tmp_path / "c"))
         assert os.path.exists(trace)
         assert all(r.cached for r in again)
 
@@ -238,8 +236,8 @@ class TestExecutePlan:
         calls = []
         scenarios = tiny_spec().scenarios()
         plan = build_plan(scenarios, str(tmp_path / "t"))
-        execute_plan(plan, cache_dir=str(tmp_path / "c"),
-                     progress=lambda *a: calls.append(a))
+        execute(plan, cache_dir=str(tmp_path / "c"),
+                progress=lambda *a: calls.append(a))
         assert len(calls) == 4
         assert {c[0] for c in calls} == {s.name for s in scenarios}
         assert [c[3] for c in calls] == [1, 2, 3, 4]  # done counter
@@ -248,13 +246,13 @@ class TestExecutePlan:
     def test_duplicate_names_rejected(self, tmp_path):
         cells = [scenario("same"), scenario("same", config={"protocol": "denovo"})]
         with pytest.raises(ValueError, match="duplicate scenario name"):
-            execute_plan(build_plan(cells, str(tmp_path)))
+            execute(build_plan(cells, str(tmp_path)))
 
     def test_telemetry_index_covers_all_kinds(self, tmp_path):
         scenarios = tiny_spec().scenarios()
         plan = build_plan(scenarios, str(tmp_path / "t"))
-        execute_plan(plan, cache_dir=str(tmp_path / "c"),
-                     telemetry={"out_dir": str(tmp_path / "tel")})
+        execute(plan, cache_dir=str(tmp_path / "c"),
+                telemetry={"out_dir": str(tmp_path / "tel")})
         index = json.loads((tmp_path / "tel" / "index.json").read_text())
         assert set(index["cells"]) == {s.name for s in scenarios}
         kinds = {c["kind"] for c in index["cells"].values()}
@@ -265,10 +263,8 @@ class TestSimulatePlanned:
     def test_record_task_payload_matches_plain_execution(self, tmp_path):
         cell = scenario("rec")
         trace = str(tmp_path / "rec.gsitrace")
-        task = {"id": "0000", "kind": "record", "scenario": cell.to_dict(),
-                "record_to": trace, "group": "g"}
-        recorded = simulate_planned(task)
-        plain = executor.simulate_scenario(cell.to_dict())
+        recorded = simulate_scenario(cell.to_dict(), record_to=trace)
+        plain = simulate_scenario(cell.to_dict())
         assert recorded["result"] == plain["result"]
         assert recorded["key"] == plain["key"]
         assert os.path.exists(trace)
@@ -276,11 +272,9 @@ class TestSimulatePlanned:
     def test_existing_trace_not_rerecorded(self, tmp_path):
         cell = scenario("rec")
         trace = str(tmp_path / "rec.gsitrace")
-        task = {"id": "0000", "kind": "record", "scenario": cell.to_dict(),
-                "record_to": trace, "group": "g"}
-        simulate_planned(task)
+        simulate_scenario(cell.to_dict(), record_to=trace)
         before = os.stat(trace).st_mtime_ns
-        simulate_planned(task)
+        simulate_scenario(cell.to_dict(), record_to=trace)
         assert os.stat(trace).st_mtime_ns == before
 
 

@@ -225,11 +225,30 @@ class TestExecutor:
         with pytest.raises(ValueError, match="duplicate scenario name"):
             execute([tiny("same"), tiny("same")])
 
-    def test_record_hook_sees_every_record(self, monkeypatch):
+    @pytest.mark.parametrize("driver", ["unplanned", "planned", "queue"])
+    def test_record_hook_sees_every_record(self, monkeypatch, tmp_path, driver):
+        from repro.experiments.dispatch import QueueDriver
+        from repro.experiments.plan import build_plan
+
+        # a records; b and c replay its trace, so a planned run resolves
+        # them in a later wave than a -- the hook must still see a first
+        scenarios = [
+            Scenario(name, TINY["workload"], TINY["workload_args"],
+                     dict(TINY["config"], **overrides))
+            for name, overrides in (("a", {}), ("b", {"protocol": "denovo"}),
+                                    ("c", {"mshr_entries": 8}))
+        ]
+        batch, kwargs = scenarios, {}
+        if driver != "unplanned":
+            batch = build_plan(scenarios, str(tmp_path / "traces"))
+            kwargs["cache_dir"] = str(tmp_path / "cache")
+        if driver == "queue":
+            kwargs["queue"] = QueueDriver(str(tmp_path / "q"), workers=1, poll_s=0.01)
         seen = []
         monkeypatch.setattr(executor, "record_hook", seen.append)
-        execute([tiny("a"), tiny("b")])
-        assert [r.scenario.name for r in seen] == ["a", "b"]
+        records = execute(batch, **kwargs)
+        assert [r.scenario.name for r in seen] == ["a", "b", "c"]
+        assert all(s is r for s, r in zip(seen, records))
 
 
 class TestLoadScenarios:
