@@ -19,7 +19,7 @@ Examples::
     python -m repro run streaming --telemetry run.jsonl --sample-every 2000
     python -m repro run uts --timeline run.trace.json
     python -m repro campaign --fast --telemetry tel/ --timeline cells.trace.json
-    python -m repro campaign --workers 4 --cache .sim-cache
+    python -m repro campaign --workers 4 --cache .sim-cache --plan
     python -m repro campaign --queue /shared/q --workers 2 --cache /shared/cache
     python -m repro worker --queue /shared/q
     python -m repro cache info .sim-cache
@@ -43,14 +43,15 @@ first-class run/record/sweep axis.  ``--set FIELD=VALUE`` overrides any
 
 ``campaign`` runs a whole workload-fleet x hierarchy x protocol cross
 product through the cached parallel executor and prints the stall
-attribution matrix; see the README's "Campaigns" section.  With a
-``--cache`` (or ``--trace-dir``/``--plan``) it routes cells through the
-replay-first planner -- each frontend-identity group records one
+attribution matrix; see the README's "Campaigns" section.  Every cell
+is a full execution unless ``--plan [TRACE_DIR]`` asks for the
+replay-first planner: each frontend-identity group then records one
 ``.gsitrace`` and serves its memory-side sweep cells as fast trace
-replays -- and with ``--workers N`` / ``--queue DIR`` it shards the
-campaign over a filesystem-backed work queue that any number of ``repro
-worker`` processes (local or on other machines) can drain; see the
-README's "Distributed campaigns" section.
+replays, marked ``replay`` in the matrix with cycles but no stall
+attribution.  ``--workers N`` / ``--queue DIR`` shard the campaign,
+planned or not, over a filesystem-backed work queue that any number of
+``repro worker`` processes (local or on other machines) can drain; see
+the README's "Distributed campaigns" section.
 
 ``report`` is the one-command results database + programmatic report:
 ``repro report build`` regenerates the scenario-backed experiments,
@@ -253,19 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--cache", metavar="DIR", default=None,
                           help="on-disk scenario result cache (a repeated "
                                "campaign is served entirely from it)")
-    plan_group = campaign.add_mutually_exclusive_group()
-    plan_group.add_argument("--plan", action="store_true", dest="plan",
-                            default=None,
-                            help="force the replay-first planner on: record "
-                                 "one trace per frontend-identity group and "
-                                 "serve memory-side sweep cells as replays "
-                                 "(default: on whenever --cache, --trace-dir, "
-                                 "--queue or --workers is given)")
-    plan_group.add_argument("--no-plan", action="store_false", dest="plan",
-                            help="force full execution for every cell")
-    campaign.add_argument("--trace-dir", metavar="DIR", default=None,
-                          help="where planner-recorded traces live (default: "
-                               "<cache>/traces)")
+    campaign.add_argument("--plan", nargs="?", const="", default=None,
+                          metavar="TRACE_DIR",
+                          help="replay-first: record one trace per "
+                               "frontend-identity group into TRACE_DIR "
+                               "(default: <cache>/traces) and serve its "
+                               "memory-side sweep cells as replays, which "
+                               "report cycles but no stall attribution "
+                               "(default: execute every cell)")
     campaign.add_argument("--workers", type=int, default=0, metavar="N",
                           help="shard the campaign over N local worker "
                                "processes via a shared work queue (0 runs "
@@ -273,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "command only coordinates and merges)")
     campaign.add_argument("--queue", metavar="DIR", default=None,
                           help="work-queue directory (shareable across "
-                               "machines; default: <cache>/queue/<name>); "
+                               "machines; default: <cache>/queue/<name>/"
+                               "{execute,plan}); "
                                "attach external workers with "
                                "'repro worker --queue DIR'")
     campaign.add_argument("--lease-expiry", type=float,
@@ -651,17 +648,7 @@ def cmd_campaign(args) -> int:
               "a --spec campaign in its file instead", file=sys.stderr)
         return 2
     distributed = args.workers > 0 or args.queue is not None
-    plan = args.plan
-    if plan is None:
-        # Replay-first by default wherever the traces have a durable home;
-        # a bare `repro campaign` (no cache, no queue) keeps executing
-        # every cell so its results stay byte-identical to earlier builds.
-        plan = distributed or args.cache is not None or args.trace_dir is not None
-    if distributed and not plan:
-        print("error: the distributed queue always runs the replay-first "
-              "plan; drop --no-plan (or drop --workers/--queue)",
-              file=sys.stderr)
-        return 2
+    plan = args.plan is not None
     if distributed and args.jobs > 1:
         print("error: --jobs sizes the in-process pool; a queued campaign "
               "runs on --workers N instead (drop --jobs, or drop "
@@ -679,15 +666,19 @@ def cmd_campaign(args) -> int:
         if distributed:
             from repro.experiments.dispatch import QueueDriver
 
-            queue_dir = args.queue or os.path.join(cache or ".sim-cache",
-                                                   "queue", spec.name)
+            # one default queue per plan kind: a queue refuses a plan
+            # other than the one it was created for
+            queue_dir = args.queue or os.path.join(
+                cache or ".sim-cache", "queue", spec.name,
+                "plan" if plan else "execute",
+            )
             cache = cache or os.path.join(queue_dir, "results")
             queue = QueueDriver(queue_dir, workers=args.workers,
                                 lease_expiry_s=args.lease_expiry,
                                 name=spec.name)
         result = run_campaign(spec, jobs=args.jobs, cache_dir=cache,
                               progress=progress, telemetry=telemetry,
-                              plan=plan, trace_dir=args.trace_dir,
+                              plan=plan, trace_dir=args.plan or None,
                               results_db=args.db, queue=queue)
     except (OSError, ValueError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -205,10 +205,15 @@ MATRIX_COLUMNS: tuple[tuple[str, tuple[StallType, ...]], ...] = (
 )
 
 
-def matrix_attribution(breakdown: StallBreakdown) -> dict[str, float]:
+def matrix_attribution(
+    breakdown: StallBreakdown | None,
+) -> dict[str, float | None]:
     """Campaign attribution for one cell: column label -> fraction of the
     cell's own total cycles (the per-workload MEM_DATA/MEM_STRUCT/compute
-    split the campaign matrix reports)."""
+    split the campaign matrix reports).  A replayed cell has no breakdown
+    (``None``): every column is ``None``."""
+    if breakdown is None:
+        return {label: None for label, _ in MATRIX_COLUMNS}
     total = max(1, breakdown.total_cycles)
     return {
         label: sum(breakdown.counts[s] for s in stalls) / total
@@ -223,9 +228,11 @@ def format_campaign_matrix(
     """Tabulate campaign cells: one row per workload x hierarchy x protocol.
 
     Each ``rows`` entry carries ``workload``/``hierarchy``/``protocol``
-    display labels, ``cycles`` and a :class:`StallBreakdown`.  Percentages
-    are of each row's own total cycles (unlike the per-figure tables, which
-    normalize to a baseline configuration: a campaign has no baseline).
+    display labels, ``cycles`` and a :class:`StallBreakdown`, or ``None``
+    for a replayed cell, which prints ``-`` in every column and ``replay``
+    as its dominant cause.  Percentages are of each row's own total cycles
+    (unlike the per-figure tables, which normalize to a baseline
+    configuration: a campaign has no baseline).
     """
     out = io.StringIO()
     out.write("%s (%% of each row's cycles)\n" % title)
@@ -238,13 +245,18 @@ def format_campaign_matrix(
     out.write("-" * len(header) + "\n")
     for r in rows:
         bd = r["breakdown"]
-        frac = matrix_attribution(bd)
-        top = max(STALL_ORDER, key=lambda s: bd.counts[s])
         line = "%-*s%-*s%-9s%10d" % (
             wl_w, r["workload"], hi_w, r["hierarchy"], r["protocol"], r["cycles"],
         )
-        line += "".join("%10.1f%%" % (100.0 * frac[label]) for label, _ in MATRIX_COLUMNS)
-        line += "  %s" % top.value
+        if bd is None:
+            line += ("%11s" % "-") * len(MATRIX_COLUMNS) + "  replay"
+        else:
+            frac = matrix_attribution(bd)
+            top = max(STALL_ORDER, key=lambda s: bd.counts[s])
+            line += "".join(
+                "%10.1f%%" % (100.0 * frac[label]) for label, _ in MATRIX_COLUMNS
+            )
+            line += "  %s" % top.value
         out.write(line + "\n")
     return out.getvalue()
 

@@ -12,7 +12,9 @@ regardless of either.
 
 The product is the paper-style **stall-attribution matrix**: one row per
 cell with its MEM_DATA / MEM_STRUCT / compute split, rendered as text
-(:func:`repro.core.report.format_campaign_matrix`), JSON and CSV.
+(:func:`repro.core.report.format_campaign_matrix`), JSON and CSV.  A cell
+served by trace replay (``plan=True`` only) ran no issue stage, so its row
+is marked ``replayed`` and carries its cycles but no attribution.
 
 Run it via ``python -m repro campaign`` or the ``campaign`` experiment of
 ``python -m repro.experiments``.
@@ -268,10 +270,11 @@ class CampaignResult:
     def replayed_count(self) -> int:
         """Cells served by a trace replay instead of a full execution
         (the replay-first planner rewrites memory-side sweep cells so)."""
-        return sum(1 for r in self.records if r.scenario.workload == "trace")
+        return sum(1 for r in self.records if r.replayed)
 
     def matrix_rows(self) -> list[dict]:
-        """One row per cell: display coordinates, cycles, breakdown."""
+        """One row per cell: display coordinates, cycles, and the GSI
+        breakdown (``None`` for a replayed cell, which computed none)."""
         out = []
         for record in self.records:
             workload, hierarchy, protocol = record.scenario.name.rsplit("/", 2)
@@ -281,7 +284,7 @@ class CampaignResult:
                     "hierarchy": hierarchy,
                     "protocol": protocol,
                     "cycles": record.result.cycles,
-                    "breakdown": record.result.breakdown,
+                    "breakdown": None if record.replayed else record.result.breakdown,
                     "record": record,
                 }
             )
@@ -305,10 +308,7 @@ class CampaignResult:
                 % (
                     self.replayed_count,
                     len(self.records),
-                    sum(
-                        1 for r in self.records
-                        if not r.cached and r.scenario.workload != "trace"
-                    ),
+                    sum(1 for r in self.records if not (r.cached or r.replayed)),
                 )
             )
         slowest = max(self.records, key=lambda r: r.elapsed_s)
@@ -332,40 +332,38 @@ class CampaignResult:
     # --- machine-readable exports --------------------------------------
     def to_dict(self) -> dict:
         """JSON-ready form: spec + one entry per cell with the attribution
-        split, full breakdown rows, and execution provenance."""
+        split, full breakdown rows (``null`` for a replayed cell), and
+        execution provenance."""
         cells = {}
         for row in self.matrix_rows():
-            record = row["record"]
+            record, breakdown = row["record"], row["breakdown"]
             cells[record.scenario.name] = {
                 "workload": row["workload"],
                 "hierarchy": row["hierarchy"],
                 "protocol": row["protocol"],
                 "cycles": row["cycles"],
-                "attribution": matrix_attribution(row["breakdown"]),
-                "breakdown": dict(row["breakdown"].rows()),
+                "attribution": matrix_attribution(breakdown),
+                "breakdown": None if breakdown is None else dict(breakdown.rows()),
                 "cached": record.cached,
-                "replayed": record.scenario.workload == "trace",
+                "replayed": record.replayed,
                 "elapsed_s": record.elapsed_s,
                 "key": record.scenario.key(),
             }
         return {"campaign": self.spec.to_dict(), "cells": cells}
 
     def to_csv(self) -> str:
-        """One row per (cell, breakdown category)."""
-        lines = ["campaign,workload,hierarchy,protocol,category,cycles"]
+        """One row per (cell, breakdown category); a replayed cell has one
+        row, with empty ``category``/``cycles`` and ``replayed`` 1."""
+        lines = ["campaign,workload,hierarchy,protocol,category,cycles,replayed"]
         for row in self.matrix_rows():
+            cell = "%s,%s,%s,%s" % (
+                self.spec.name, row["workload"], row["hierarchy"], row["protocol"],
+            )
+            if row["breakdown"] is None:
+                lines.append(cell + ",,,1")
+                continue
             for label, cycles in row["breakdown"].rows():
-                lines.append(
-                    "%s,%s,%s,%s,%s,%d"
-                    % (
-                        self.spec.name,
-                        row["workload"],
-                        row["hierarchy"],
-                        row["protocol"],
-                        label,
-                        cycles,
-                    )
-                )
+                lines.append("%s,%s,%d,0" % (cell, label, cycles))
         return "\n".join(lines) + "\n"
 
 
@@ -400,7 +398,9 @@ def run_campaign(
     (:mod:`repro.experiments.plan`): each frontend-identity group records
     one trace into ``trace_dir`` and serves its memory-side sweep cells as
     replays, 1.66-2.47x faster per cell than full execution on fig 6.1's
-    120-node UTS cell (three runs, 2-vCPU host).
+    120-node UTS cell (three runs, 2-vCPU host).  Replayed cells report
+    cycles but no stall attribution.  Without ``plan`` every cell is a
+    full execution, whichever driver runs it.
 
     ``results_db`` names a SQLite results database
     (:class:`repro.results.db.ResultsDB`) to ingest the finished campaign

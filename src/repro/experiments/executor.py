@@ -61,6 +61,12 @@ class ScenarioRecord:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def replayed(self) -> bool:
+        """Served by a trace replay: no issue stage ran, so the result
+        carries no GSI attribution of its own."""
+        return self.scenario.workload == "trace"
+
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario.to_dict(),

@@ -27,7 +27,8 @@ source formats each table is fed from:
 * ``stats`` -- the flattened per-component stats projection per run
   (``l1.sm0.load_hits`` style dotted paths).
 * ``campaign_cells`` -- the stall-attribution matrix, one row per
-  workload x hierarchy x protocol cell.
+  workload x hierarchy x protocol cell (attribution NULL for a cell
+  served by trace replay).
 * ``e2e_metrics`` -- end-to-end benchmark run records
   (``benchmarks/e2e/run.py --out`` / ``collect.py`` files), one row per
   record x end-to-end metric.
@@ -329,7 +330,7 @@ class ResultsDB:
                     campaign, record.scenario.name, row["workload"],
                     row["hierarchy"], row["protocol"], row["cycles"],
                     record.scenario.key(), int(record.cached),
-                    int(record.scenario.workload == "trace"),
+                    int(record.replayed),
                     frac["no_stall"], frac["mem_data"], frac["mem_struct"],
                     frac["sync"], frac["compute"], frac["other"], ingest_id,
                 ),
@@ -495,54 +496,6 @@ class ResultsDB:
             self._record_artifact(path, kind, ingest_id)
         self._conn.commit()
         return len(files)
-
-    def ingest_campaign_artifact(self, path: str) -> int:
-        """Ingest a campaign ``<name>.json`` artifact written by
-        :func:`repro.experiments.campaign.write_artifacts` (the offline
-        twin of :meth:`ingest_campaign`).  Returns the cell count."""
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        cells = payload.get("cells")
-        spec = payload.get("campaign") or {}
-        if not isinstance(cells, dict):
-            raise ValueError("%s: not a campaign JSON artifact" % path)
-        campaign = spec.get("name", "campaign")
-        ingest_id = self._begin_ingest("campaign-artifact", path)
-        self._conn.execute(
-            "DELETE FROM campaign_cells WHERE campaign = ?", (campaign,)
-        )
-        for cell_name, cell in sorted(cells.items()):
-            frac = cell.get("attribution") or {}
-            self._conn.execute(
-                "INSERT INTO campaign_cells (campaign, cell, workload,"
-                " hierarchy, protocol, cycles, key, cached, replayed,"
-                " no_stall, mem_data, mem_struct, sync, compute, other,"
-                " ingest_id)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    campaign, cell_name, cell.get("workload"),
-                    cell.get("hierarchy"), cell.get("protocol"),
-                    cell.get("cycles"), cell.get("key"),
-                    int(bool(cell.get("cached"))),
-                    int(bool(cell.get("replayed"))),
-                    frac.get("no_stall"), frac.get("mem_data"),
-                    frac.get("mem_struct"), frac.get("sync"),
-                    frac.get("compute"), frac.get("other"), ingest_id,
-                ),
-            )
-            breakdown = cell.get("breakdown") or {}
-            self._put_run(
-                key=cell.get("key"), name=cell_name, experiment=campaign,
-                source="campaign-artifact", workload=cell.get("workload"),
-                workload_args=None, config=None, cycles=cell.get("cycles"),
-                instructions=None, cached=bool(cell.get("cached")),
-                elapsed_s=cell.get("elapsed_s"), result_sha256=None,
-                breakdown_rows=sorted(breakdown.items()), stats={},
-                ingest_id=ingest_id,
-            )
-        self._record_artifact(path, "campaign-artifact", ingest_id)
-        self._conn.commit()
-        return len(cells)
 
     # -- internals ------------------------------------------------------
     def _record_artifact(self, path: str, kind: str, ingest_id: int) -> None:

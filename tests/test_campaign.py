@@ -227,6 +227,77 @@ class TestCli:
         assert "cannot write artifacts" in capsys.readouterr().err
 
 
+def _campaign_outputs(out_dir, *flags) -> dict:
+    """Run ``repro campaign --fast`` with ``flags``; the matrix text (run
+    header and wall-clock line dropped) and the CSV it writes."""
+    assert cli.main(["campaign", "--fast", "--quiet", "--out", str(out_dir),
+                     *flags]) == 0
+    text = (out_dir / "fleet-fast.txt").read_text().splitlines()
+    return {
+        "matrix": [line for line in text[1:] if not line.startswith("wall clock")],
+        "csv": (out_dir / "fleet-fast.csv").read_text(),
+    }
+
+
+@pytest.fixture(scope="module")
+def fleet_outputs(tmp_path_factory):
+    """The fast fleet unplanned, cold and warm through a --cache, and
+    replay-first with --plan."""
+    tmp = tmp_path_factory.mktemp("fleet")
+    cache = str(tmp / "cache")
+    return {
+        "plain": _campaign_outputs(tmp / "plain"),
+        "cold": _campaign_outputs(tmp / "cold", "--cache", cache),
+        "warm": _campaign_outputs(tmp / "warm", "--cache", cache),
+        "plan": _campaign_outputs(tmp / "plan", "--cache", str(tmp / "pcache"),
+                                  "--plan"),
+    }
+
+
+class TestReplayOnlyWhenAsked:
+    def test_cache_does_not_change_the_matrix(self, fleet_outputs):
+        plain = fleet_outputs["plain"]
+        for run in ("cold", "warm"):
+            assert fleet_outputs[run]["csv"] == plain["csv"]
+            assert fleet_outputs[run]["matrix"] == plain["matrix"]
+        assert not any(line.endswith(",1") for line in plain["csv"].splitlines())
+
+    def test_replayed_rows_are_marked_without_attribution(self, fleet_outputs):
+        plan = fleet_outputs["plan"]
+        replayed = [line for line in plan["matrix"] if line.endswith("  replay")]
+        assert len(replayed) == 12
+        for line in replayed:
+            assert line.split()[4:] == ["-"] * 6 + ["replay"]
+        rows = list(csv.DictReader(io.StringIO(plan["csv"])))
+        marked = [r for r in rows if r["replayed"] == "1"]
+        assert len(marked) == 12
+        assert all(r["category"] == r["cycles"] == "" for r in marked)
+
+    def test_executed_rows_match_the_unplanned_run(self, fleet_outputs):
+        plain, plan = fleet_outputs["plain"], fleet_outputs["plan"]
+        matrix = [
+            line for line in plan["matrix"] if not line.startswith("replay-first:")
+        ]
+        assert len(matrix) == len(plain["matrix"])
+        replayed = 0
+        for got, want in zip(matrix, plain["matrix"]):
+            if got.endswith("  replay"):
+                replayed += 1
+                assert got.split()[:3] == want.split()[:3]
+            else:
+                assert got == want
+        assert replayed == 12
+        plan_csv = plan["csv"].splitlines()
+        replayed_cells = tuple(
+            line[:-len(",,1")] for line in plan_csv if line.endswith(",,,1")
+        )
+        assert len(replayed_cells) == 12
+        assert [line for line in plan_csv if not line.endswith(",,,1")] == [
+            line for line in plain["csv"].splitlines()
+            if not line.startswith(replayed_cells)
+        ]
+
+
 class TestLoadCampaign:
     def test_load_and_run(self, tmp_path):
         path = tmp_path / "c.json"

@@ -340,10 +340,37 @@ class TestWorkerCli:
         assert rc == 2
         assert "not a campaign queue" in capsys.readouterr().err
 
-    def test_campaign_no_plan_with_workers_rejected(self, capsys):
-        rc = cli.main(["campaign", "--fast", "--workers", "2", "--no-plan"])
-        assert rc == 2
-        assert "replay-first" in capsys.readouterr().err
+    def _spec_file(self, tmp_path) -> str:
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY))
+        return str(path)
+
+    def test_campaign_workers_without_plan_execute_every_cell(self, tmp_path,
+                                                              capsys):
+        spec = self._spec_file(tmp_path)
+        assert cli.main(["campaign", "--spec", spec, "--quiet",
+                         "--format", "csv"]) == 0
+        serial = capsys.readouterr().out
+        queue = str(tmp_path / "q")
+        assert cli.main(["campaign", "--spec", spec, "--quiet", "--format",
+                         "csv", "--workers", "2", "--queue", queue]) == 0
+        assert capsys.readouterr().out == serial
+        done = os.listdir(os.path.join(queue, "done"))
+        assert len(done) == 4
+        for name in done:
+            with open(os.path.join(queue, "done", name)) as fh:
+                assert json.load(fh)["kind"] != "replay"
+
+    def test_campaign_switches_plan_kind_on_one_cache(self, tmp_path, capsys):
+        spec = self._spec_file(tmp_path)
+        cache = str(tmp_path / "cache")
+        for plan in ([], ["--plan"], []):
+            assert cli.main(["campaign", "--spec", spec, "--quiet",
+                             "--workers", "1", "--cache", cache, *plan]) == 0
+        out = capsys.readouterr().out
+        assert out.count("replay-first: 2 of 4 cells") == 1
+        assert sorted(os.listdir(os.path.join(cache, "queue", "tiny"))) \
+            == ["execute", "plan"]
 
     def test_campaign_jobs_with_workers_rejected(self, capsys):
         rc = cli.main(["campaign", "--fast", "--workers", "2", "--jobs", "2"])

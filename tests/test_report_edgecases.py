@@ -75,6 +75,20 @@ class TestCampaignMatrix:
         )
         assert "denovo" in text
 
+    def test_replayed_cell_has_no_attribution(self):
+        assert set(matrix_attribution(None).values()) == {None}
+        bd = StallBreakdown()
+        bd.add(StallType.MEM_DATA, 8)
+        text = format_campaign_matrix([
+            {"workload": "w", "hierarchy": "h", "protocol": "gpu",
+             "cycles": 8, "breakdown": bd},
+            {"workload": "w", "hierarchy": "h", "protocol": "denovo",
+             "cycles": 9, "breakdown": None},
+        ])
+        executed, replayed = text.splitlines()[-2:]
+        assert replayed.split()[3:] == ["9"] + ["-"] * 6 + ["replay"]
+        assert len(replayed) == len(executed) - len("memory_data") + len("replay")
+
 
 class TestStatsTree:
     def test_empty_snapshot(self):

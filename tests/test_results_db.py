@@ -134,6 +134,23 @@ class TestIngestCampaign:
                 frac["sync"], frac["compute"], frac["other"],
             ))
 
+    def test_replayed_cells_store_no_attribution(self, tmp_path):
+        result = run_campaign(tiny_spec(), cache_dir=str(tmp_path / "cache"),
+                              plan=True, trace_dir=str(tmp_path / "traces"))
+        with ResultsDB(str(tmp_path / "c.db")) as db:
+            db.ingest_campaign(result)
+            _, cells = db.query(
+                "SELECT cell, replayed, no_stall, mem_data, mem_struct, sync,"
+                " compute, other FROM campaign_cells ORDER BY rowid"
+            )
+        assert [c[1] for c in cells] == [int(r.replayed) for r in result.records]
+        assert sum(c[1] for c in cells) == result.replayed_count == 2
+        for cell in cells:
+            if cell[1]:
+                assert cell[2:] == (None,) * 6
+            else:
+                assert None not in cell[2:]
+
     def test_campaign_runs_ingested_alongside_cells(self, tmp_path):
         result = run_campaign(tiny_spec(), cache_dir=str(tmp_path / "cache"))
         with ResultsDB(str(tmp_path / "c.db")) as db:
