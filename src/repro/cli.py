@@ -38,8 +38,8 @@ Examples::
 see the README's "Memory-hierarchy fabric" section), making the cache
 topology -- shared L3s, private L2s, L1 bypass, cluster sharing -- a
 first-class run/record/sweep axis.  ``--set FIELD=VALUE`` overrides any
-``SystemConfig`` field on ``run``/``record``, exactly as it already did on
-``trace replay``.
+``SystemConfig`` field on ``run``, ``trace record`` and ``trace replay``
+(one override path: :func:`config_overrides`).
 
 ``campaign`` runs a whole workload-fleet x hierarchy x protocol cross
 product through the cached parallel executor and prints the stall
@@ -69,70 +69,138 @@ doubles as the classic windowed ASCII timeline when given an integer
 bucket size, or a trace-file path otherwise.  Telemetry is provably
 inert: results are byte-identical with it on or off (see the README's
 "Observability" section).
+
+Every command takes its shared options from one vocabulary,
+:data:`OPTIONS`; a bad option or input exits 2 with ``error: ...``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import os
 import sys
-from typing import Callable
 
 from repro.core.energy import estimate_energy
 from repro.core.report import format_stacked_bars, format_stats_tree, format_table
 from repro.core.timeline import render_timeline
-from repro.sim.config import Protocol, SystemConfig
+from repro.sim.config import SystemConfig
 from repro.system import run_workload
 from repro.workloads import make_workload
 
 
-def _by_name(registry_name: str, **arg_map) -> Callable:
-    """Build the registered workload, mapping CLI args to its kwargs.
-
-    Classes come from the workload registry (:mod:`repro.workloads`), the
-    single name->factory source also used by scenario specs; this map only
-    owns the CLI-argument plumbing.
-    """
-
-    def make(args):
-        kwargs = {
-            kwarg: getattr(args, cli_attr) for kwarg, cli_attr in arg_map.items()
-        }
-        return make_workload(registry_name, **kwargs)
-
-    # the exact kwargs the factory consumes -- trace provenance records
-    # these, not the full CLI namespace (most workloads ignore --nodes)
-    make.provenance = lambda args: {
-        kwarg: getattr(args, cli_attr) for kwarg, cli_attr in arg_map.items()
-    }
-    return make
+class CLIError(Exception):
+    """A bad option or input: :func:`main` prints it and exits 2."""
 
 
-def _implicit(registry_name: str) -> Callable:
-    def make(args):
-        return make_workload(registry_name, warps_per_tb=args.warps or 8)
+@contextlib.contextmanager
+def fail_on(*errors, prefix: str = ""):
+    """Re-raise the given exception types from the block as a CLIError
+    (its message prefixed by ``prefix``)."""
+    try:
+        yield
+    except errors as exc:
+        raise CLIError(prefix + str(exc)) from exc
 
-    make.provenance = lambda args: {"warps_per_tb": args.warps or 8}
-    return make
 
+_WARPS = {"warps_per_tb": "warps"}
 
-WORKLOADS: dict[str, Callable] = {
-    "uts": _by_name("uts", total_nodes="nodes", warps_per_tb="warps"),
-    "utsd": _by_name("utsd", total_nodes="nodes", warps_per_tb="warps"),
-    "implicit_scratchpad": _implicit("implicit_scratchpad"),
-    "implicit_dma": _implicit("implicit_dma"),
-    "implicit_stash": _implicit("implicit_stash"),
-    "bfs": _by_name("bfs", num_vertices="nodes", warps_per_tb="warps"),
-    "stencil": _by_name("stencil_scratchpad", warps_per_tb="warps"),
-    "reduction": _by_name("reduction", warps_per_tb="warps"),
-    "streaming": _by_name("streaming", warps_per_tb="warps"),
-    "pointer_chase": _by_name("pointer_chase", warps_per_tb="warps"),
+# CLI workload name -> (registry name, {factory kwarg: CLI option dest}).
+# Classes come from the workload registry (repro.workloads), the single
+# name->factory source also used by scenario specs; this table only owns
+# the CLI-argument plumbing.
+WORKLOADS: dict[str, tuple[str, dict[str, str]]] = {
+    "uts": ("uts", {"total_nodes": "nodes", **_WARPS}),
+    "utsd": ("utsd", {"total_nodes": "nodes", **_WARPS}),
+    "implicit_scratchpad": ("implicit_scratchpad", _WARPS),
+    "implicit_dma": ("implicit_dma", _WARPS),
+    "implicit_stash": ("implicit_stash", _WARPS),
+    "bfs": ("bfs", {"num_vertices": "nodes", **_WARPS}),
+    "stencil": ("stencil_scratchpad", _WARPS),
+    "reduction": ("reduction", _WARPS),
+    "streaming": ("streaming", _WARPS),
+    "pointer_chase": ("pointer_chase", _WARPS),
     # the campaign fleet (see repro.experiments.campaign)
-    "spmv": _by_name("spmv", num_rows="nodes", warps_per_tb="warps"),
-    "histogram": _by_name("histogram", warps_per_tb="warps"),
-    "matmul_tiled": _by_name("matmul_tiled", warps_per_tb="warps"),
-    "transpose": _by_name("transpose", warps_per_tb="warps"),
-    "gups": _by_name("gups", warps_per_tb="warps"),
+    "spmv": ("spmv", {"num_rows": "nodes", **_WARPS}),
+    "histogram": ("histogram", _WARPS),
+    "matmul_tiled": ("matmul_tiled", _WARPS),
+    "transpose": ("transpose", _WARPS),
+    "gups": ("gups", _WARPS),
 }
+
+
+def workload_kwargs(args) -> dict:
+    """The kwargs the selected workload's factory takes from the CLI --
+    also what a recorded trace keeps as its provenance (most workloads
+    ignore --nodes)."""
+    _, arg_map = WORKLOADS[args.workload]
+    return {kwarg: getattr(args, dest) for kwarg, dest in arg_map.items()}
+
+
+# The option vocabulary shared by every command: option dest -> its
+# add_argument settings.  A command declares the options it has by name
+# (add_options) and may override their help, metavar, default or dest;
+# everything else is the same on every command.
+OPTIONS = {
+    # the batch options
+    "jobs": {"type": int, "default": 1, "metavar": "N",
+             "help": "worker processes (default: 1)"},
+    "format": {"choices": ("text", "json", "csv"), "default": "text", "dest": "fmt"},
+    "out": {"metavar": "DIR", "default": None},
+    "cache": {"metavar": "DIR", "default": None,
+              "help": "on-disk scenario result cache"},
+    "db": {"metavar": "FILE", "default": None},
+    # the telemetry options
+    "telemetry": {"metavar": "DIR", "default": None,
+                  "help": "write one telemetry series per executed cell into "
+                          "DIR (<scenario-key>.jsonl + .csv, plus an "
+                          "index.json name->key map)"},
+    "sample_every": {"type": int, "default": 5000, "metavar": "N",
+                     "help": "per-cell telemetry sampling period in cycles "
+                             "(default: 5000)"},
+    "timeline": {"metavar": "OUT.trace.json", "default": None,
+                 "help": "write the cells' wall-clock schedule as a Chrome "
+                         "trace-event timeline (open in Perfetto)"},
+    "quiet": {"action": "store_true",
+              "help": "suppress the live per-cell progress lines"},
+    # the single-run and inspection options
+    "set": {"action": "append", "default": [], "metavar": "FIELD=VALUE",
+            "dest": "overrides",
+            "help": "override any SystemConfig field (repeatable)"},
+    "stats": {"action": "store_true",
+              "help": "print the full component stats tree"},
+    "per_sm": {"action": "store_true", "help": "per-SM breakdowns"},
+    "json": {"action": "store_true", "dest": "as_json",
+             "help": "machine-readable output"},
+}
+BATCH = ("jobs", "format", "out", "cache", "db")
+TELEMETRY = ("telemetry", "sample_every", "timeline", "quiet")
+
+# lower bounds of the integer options, checked for every command that has
+# the option before it runs
+MINIMUMS = {"jobs": 1, "sample_every": 1, "warps": 1, "workers": 0}
+
+
+def add_options(parser, *names: str, **custom) -> None:
+    """Declare options of :data:`OPTIONS` on ``parser``, in vocabulary
+    order: each name with the shared settings, each keyword with its own
+    help text or a dict of settings that override the shared ones."""
+    for name, settings in OPTIONS.items():
+        if name in names or name in custom:
+            override = custom.get(name, {})
+            if isinstance(override, str):
+                override = {"help": override}
+            parser.add_argument("--" + name.replace("_", "-"),
+                                **{**settings, **override})
+
+
+def check_minimums(args) -> None:
+    """Raise a CLIError for any option below its :data:`MINIMUMS` bound."""
+    for dest, low in MINIMUMS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            raise CLIError("--%s must be >= %d" % (dest.replace("_", "-"), low))
 
 
 def _add_sim_options(parser: argparse.ArgumentParser) -> None:
@@ -143,7 +211,8 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sms", type=int, default=None, help="override SM count")
     parser.add_argument("--nodes", type=int, default=80, help="tree/graph size")
     parser.add_argument("--warps", type=int, default=2,
-                        help="warps per thread block")
+                        help="warps per thread block (fig6.3/6.4 run the "
+                             "implicit workloads at 8)")
     parser.add_argument("--mshr", type=int, default=32)
     parser.add_argument("--store-buffer", type=int, default=None)
     parser.add_argument("--scheduler", choices=["lrr", "gto"], default="lrr")
@@ -152,54 +221,62 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
                         help="memory-hierarchy spec: a JSON/YAML file with a "
                              "'levels' list (see README 'Memory-hierarchy "
                              "fabric')")
-    parser.add_argument("--set", action="append", default=[], metavar="FIELD=VALUE",
-                        dest="overrides",
-                        help="override any SystemConfig field (repeatable)")
+    add_options(parser, "set")
 
 
-def _add_batch_telemetry_options(parser: argparse.ArgumentParser) -> None:
-    """Telemetry/progress options shared by ``sweep`` and ``campaign``."""
-    parser.add_argument("--telemetry", metavar="DIR", default=None,
-                        help="write one telemetry series per executed cell "
-                             "into DIR (<scenario-key>.jsonl + .csv, plus an "
-                             "index.json name->key map)")
-    parser.add_argument("--sample-every", type=int, default=5000, metavar="N",
-                        help="per-cell telemetry sampling period in cycles "
-                             "(default: 5000)")
-    parser.add_argument("--timeline", metavar="OUT.trace.json", default=None,
-                        help="write the cells' wall-clock schedule as a "
-                             "Chrome trace-event timeline (open in Perfetto)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the live per-cell progress lines")
+# CLI option dest -> the SystemConfig field it overrides
+_CONFIG_OPTIONS = {"sms": "num_sms", "mshr": "mshr_entries",
+                   "store_buffer": "store_buffer_entries", "protocol": "protocol"}
 
 
-def _load_hierarchy(path: str) -> dict:
-    """Read a hierarchy spec file (JSON always; YAML when PyYAML exists)."""
-    from repro.experiments.spec import load_json_or_yaml
-
-    return load_json_or_yaml(path)
-
-
-def _config_from_args(args, timeline: "int | None" = None) -> SystemConfig:
-    config = SystemConfig(
-        protocol=Protocol.DENOVO if args.protocol == "denovo" else Protocol.GPU_COHERENCE,
-        mshr_entries=args.mshr,
-        store_buffer_entries=args.store_buffer or args.mshr,
-        warp_scheduler=args.scheduler,
-        timeline_window=timeline,
-        seed=args.seed,
-    )
-    overrides = {}
-    if args.sms is not None:
-        overrides["num_sms"] = args.sms
+def config_overrides(args) -> dict:
+    """The SystemConfig overrides of the config options a command has
+    (``--sms``, ``--mshr``, ``--store-buffer``, ``--protocol``,
+    ``--hierarchy``), then of every ``--set FIELD=VALUE``, which wins;
+    a ``--set`` value is JSON-coerced when it parses as JSON."""
+    overrides = {
+        field: getattr(args, dest)
+        for dest, field in _CONFIG_OPTIONS.items()
+        if getattr(args, dest, None) is not None
+    }
     if getattr(args, "hierarchy", None) is not None:
-        overrides["hierarchy"] = _load_hierarchy(args.hierarchy)
-    for text in getattr(args, "overrides", []):
-        field, value = _parse_override(text)
-        overrides[field] = value
-    if overrides:
-        config = config.scaled(**overrides)
-    return config
+        from repro.experiments.spec import load_json_or_yaml
+
+        overrides["hierarchy"] = load_json_or_yaml(args.hierarchy)
+    for text in args.overrides:
+        if "=" not in text:
+            raise ValueError("override %r is not of the form FIELD=VALUE" % text)
+        field, raw = text.split("=", 1)
+        try:
+            overrides[field.strip()] = json.loads(raw)
+        except ValueError:
+            overrides[field.strip()] = raw  # bare strings (e.g. protocol=denovo)
+    return overrides
+
+
+def _config_and_workload(args, timeline: "int | None" = None):
+    """The SystemConfig and workload that ``run``/``trace record`` build
+    from their sim options; a bad config option is a CLIError."""
+    # the store buffer follows --mshr unless it is sized on its own
+    args.store_buffer = args.store_buffer or args.mshr
+    with fail_on(OSError, TypeError, ValueError):
+        config = SystemConfig(warp_scheduler=args.scheduler,
+                              timeline_window=timeline, seed=args.seed)
+        config = config.scaled(**config_overrides(args))
+    return config, make_workload(WORKLOADS[args.workload][0], **workload_kwargs(args))
+
+
+def _add_command(subparsers, name: str, func, help_text: str):
+    """A subcommand parser whose parsed args run ``func``."""
+    parser = subparsers.add_parser(name, help=help_text)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _add_group(subparsers, name: str, help_text: str):
+    """A command group: the subparsers of its required NAME_command."""
+    group = subparsers.add_parser(name, help=help_text)
+    return group.add_subparsers(dest=name + "_command", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,29 +287,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list bundled workloads")
-    sub.add_parser("table51", help="print Table 5.1 (system parameters)")
+    _add_command(sub, "list", cmd_list, "list bundled workloads")
+    _add_command(sub, "table51", cmd_table51, "print Table 5.1 (system parameters)")
 
-    sweep = sub.add_parser(
-        "sweep", help="run a user-defined scenario file (JSON/YAML)"
-    )
+    sweep = _add_command(sub, "sweep", cmd_sweep,
+                         "run a user-defined scenario file (JSON/YAML)")
     sweep.add_argument("file", help="scenario spec file; see README 'Custom sweeps'")
-    sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default: 1)")
-    sweep.add_argument("--format", choices=["text", "json", "csv"], default="text",
-                       dest="fmt")
-    sweep.add_argument("--out", metavar="FILE", default=None,
-                       help="also write the report to FILE")
-    sweep.add_argument("--cache", metavar="DIR", default=None,
-                       help="on-disk scenario result cache")
-    sweep.add_argument("--db", metavar="FILE", default=None,
-                       help="also ingest the results into this SQLite "
-                            "results database (see 'repro report')")
-    _add_batch_telemetry_options(sweep)
+    add_options(
+        sweep, *BATCH, *TELEMETRY,
+        out={"metavar": "FILE", "help": "also write the report to FILE"},
+        db="also ingest the results into this SQLite results database "
+           "(see 'repro report')",
+    )
 
-    campaign = sub.add_parser(
-        "campaign",
-        help="run a workload-fleet x hierarchy x protocol stall campaign",
+    campaign = _add_command(
+        sub, "campaign", cmd_campaign,
+        "run a workload-fleet x hierarchy x protocol stall campaign",
     )
     campaign.add_argument("--spec", metavar="FILE", default=None,
                           help="campaign spec file (JSON/YAML); default: the "
@@ -245,15 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated hierarchy subset")
     campaign.add_argument("--protocols", metavar="A,B", default=None,
                           help="comma-separated protocol subset")
-    campaign.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="worker processes (default: 1)")
-    campaign.add_argument("--format", choices=["text", "json", "csv"],
-                          default="text", dest="fmt")
-    campaign.add_argument("--out", metavar="DIR", default=None,
-                          help="write <name>.{txt,json,csv} into DIR")
-    campaign.add_argument("--cache", metavar="DIR", default=None,
-                          help="on-disk scenario result cache (a repeated "
-                               "campaign is served entirely from it)")
+    add_options(
+        campaign, *BATCH, *TELEMETRY,
+        out="write <name>.{txt,json,csv} into DIR",
+        cache="on-disk scenario result cache (a repeated campaign is served "
+              "entirely from it)",
+        db="also ingest the campaign matrix and cell results into this "
+           "SQLite results database (see 'repro report')",
+    )
     campaign.add_argument("--plan", nargs="?", const="", default=None,
                           metavar="TRACE_DIR",
                           help="replay-first: record one trace per "
@@ -278,15 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="reclaim a worker's claimed cell after its "
                                "lease heartbeat goes stale this long "
                                "(default: %(default)g)")
-    campaign.add_argument("--db", metavar="FILE", default=None,
-                          help="also ingest the campaign matrix and cell "
-                               "results into this SQLite results database "
-                               "(see 'repro report')")
-    _add_batch_telemetry_options(campaign)
 
-    worker = sub.add_parser(
-        "worker", help="drain a distributed campaign queue until it settles"
-    )
+    worker = _add_command(sub, "worker", cmd_worker,
+                          "drain a distributed campaign queue until it settles")
     worker.add_argument("--queue", required=True, metavar="DIR",
                         help="queue directory created by "
                              "'repro campaign --workers/--queue'")
@@ -305,46 +368,42 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker name recorded in completion markers "
                              "(default: pid-<pid>)")
 
-    cache = sub.add_parser(
-        "cache", help="inspect and maintain the content-addressed result cache"
-    )
-    csub = cache.add_subparsers(dest="cache_command", required=True)
+    csub = _add_group(sub, "cache",
+                      "inspect and maintain the content-addressed result cache")
     for name, help_text in (
         ("info", "entry count, bytes, version histogram"),
         ("verify", "sweep every entry; quarantine corrupt ones to *.bad"),
         ("prune", "remove quarantined/stale entries and orphan tmp files"),
     ):
-        sub_cache = csub.add_parser(name, help=help_text)
+        sub_cache = _add_command(csub, name, cmd_cache, help_text)
         sub_cache.add_argument("dir", help="cache directory (e.g. .sim-cache)")
-        sub_cache.add_argument("--json", action="store_true", dest="as_json",
-                               help="machine-readable output")
+        add_options(sub_cache, "json")
         if name == "prune":
             sub_cache.add_argument("--tmp-age", type=float, default=3600.0,
                                    metavar="S",
                                    help="only remove orphan *.tmp.* files "
                                         "older than this (default: 3600)")
 
-    run = sub.add_parser("run", help="run one workload and print the breakdown")
+    run = _add_command(sub, "run", cmd_run,
+                       "run one workload and print the breakdown")
     _add_sim_options(run)
-    run.add_argument("--timeline", default=None, metavar="CYCLES|OUT.trace.json",
-                     help="an integer enables the windowed ASCII timeline "
+    add_options(
+        run, "stats", "per_sm",
+        telemetry={"metavar": "OUT.jsonl",
+                   "help": "sample the stats tree into a JSONL time-series "
+                           "(+ sibling .csv); provably inert"},
+        sample_every="telemetry sampling period in cycles (default: 5000)",
+        timeline={"metavar": "CYCLES|OUT.trace.json",
+                  "help": "an integer enables the windowed ASCII timeline "
                           "with that bucket size; anything else is a Chrome "
                           "trace-event output path (open in Perfetto / "
-                          "chrome://tracing)")
-    run.add_argument("--telemetry", metavar="OUT.jsonl", default=None,
-                     help="sample the stats tree into a JSONL time-series "
-                          "(+ sibling .csv); provably inert")
-    run.add_argument("--sample-every", type=int, default=5000, metavar="N",
-                     help="telemetry sampling period in cycles (default: 5000)")
+                          "chrome://tracing)"},
+        quiet="suppress telemetry heartbeat lines on stderr",
+    )
     run.add_argument("--sample-stats", action="append", default=[], metavar="PAT",
                      help="extra fnmatch pattern over flattened stat paths to "
                           "sample (repeatable; adds to the default columns)")
-    run.add_argument("--quiet", action="store_true",
-                     help="suppress telemetry heartbeat lines on stderr")
     run.add_argument("--energy", action="store_true", help="print energy report")
-    run.add_argument("--stats", action="store_true",
-                     help="print the full component stats tree")
-    run.add_argument("--per-sm", action="store_true", help="per-SM breakdowns")
     run.add_argument("--profile", metavar="OUT.pstats", default=None,
                      help="run under cProfile and write the stats file "
                           "(inspect with pstats or snakeviz; see "
@@ -353,20 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --profile: also print the top N functions "
                           "by internal time (default: 15)")
 
-    trace = sub.add_parser(
-        "trace", help="record a workload's memory trace / replay one"
-    )
-    tsub = trace.add_subparsers(dest="trace_command", required=True)
-
-    record = tsub.add_parser(
-        "record", help="run a workload execution-driven and capture its trace"
+    tsub = _add_group(sub, "trace", "record a workload's memory trace / replay one")
+    record = _add_command(
+        tsub, "record", cmd_trace_record,
+        "run a workload execution-driven and capture its trace",
     )
     _add_sim_options(record)
     record.add_argument("-o", "--out", required=True, metavar="FILE",
                         help="trace output file (conventionally *.gsitrace)")
-
-    replay = tsub.add_parser(
-        "replay", help="re-inject a recorded trace into the memory hierarchy"
+    replay = _add_command(
+        tsub, "replay", cmd_trace_replay,
+        "re-inject a recorded trace into the memory hierarchy",
     )
     replay.add_argument("file", help="trace file written by 'trace record'")
     replay.add_argument("--mshr", type=int, default=None,
@@ -375,87 +431,68 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override store-buffer entries")
     replay.add_argument("--protocol", choices=["gpu", "denovo"], default=None,
                         help="override the coherence protocol")
-    replay.add_argument("--set", action="append", default=[], metavar="FIELD=VALUE",
-                        dest="overrides",
-                        help="override any SystemConfig field (repeatable)")
+    add_options(replay, "set", "stats", "per_sm")
     replay.add_argument("--verify", action="store_true",
                         help="check the replayed memory-side stats against "
                              "the stats recorded in the trace (requires an "
                              "unmodified configuration); exit 1 on mismatch")
-    replay.add_argument("--stats", action="store_true",
-                        help="print the full component stats tree")
-    replay.add_argument("--per-sm", action="store_true", help="per-SM breakdowns")
-
-    info = tsub.add_parser("info", help="print a trace file's provenance")
+    info = _add_command(tsub, "info", cmd_trace_info,
+                        "print a trace file's provenance")
     info.add_argument("file")
 
-    telemetry = sub.add_parser(
-        "telemetry", help="inspect in-flight telemetry artifacts"
-    )
-    telsub = telemetry.add_subparsers(dest="telemetry_command", required=True)
-    summarize = telsub.add_parser(
-        "summarize", help="render a sampled stat time-series to text or CSV"
+    telsub = _add_group(sub, "telemetry", "inspect in-flight telemetry artifacts")
+    summarize = _add_command(
+        telsub, "summarize", cmd_telemetry,
+        "render a sampled stat time-series to text or CSV",
     )
     summarize.add_argument("file", help="JSONL series written by --telemetry")
-    summarize.add_argument("--format", choices=["text", "csv"], default="text",
-                           dest="fmt")
+    add_options(summarize, format={"choices": ("text", "csv")})
     summarize.add_argument("--columns", action="append", default=[],
                            metavar="PAT",
                            help="fnmatch filter over column names (repeatable)")
 
-    report = sub.add_parser(
-        "report",
-        help="results database + one-command versioned report "
-             "(see docs/ARTIFACTS.md)",
+    rsub = _add_group(sub, "report", "results database + one-command versioned "
+                      "report (see docs/ARTIFACTS.md)")
+    rbuild = _add_command(
+        rsub, "build", cmd_report_build,
+        "regenerate the experiments, ingest every number into the results "
+        "database, render the md/tex/json report + manifest",
     )
-    rsub = report.add_subparsers(dest="report_command", required=True)
-
-    rbuild = rsub.add_parser(
-        "build",
-        help="regenerate the experiments, ingest every number into the "
-             "results database, render the md/tex/json report + manifest",
+    add_options(
+        rbuild, "jobs",
+        out={"default": "report",
+             "help": "report output directory (default: report/; the "
+                     "committed golden lives in docs/report/)"},
+        cache="on-disk scenario result cache (a rebuild is served from it)",
+        db={"default": "results.db",
+            "help": "SQLite results database to ingest into "
+                    "(default: results.db)"},
     )
-    rbuild.add_argument("--out", metavar="DIR", default="report",
-                        help="report output directory (default: report/; "
-                             "the committed golden lives in docs/report/)")
-    rbuild.add_argument("--db", metavar="FILE", default="results.db",
-                        help="SQLite results database to ingest into "
-                             "(default: results.db)")
     rbuild.add_argument("--full", action="store_true",
                         help="full paper sizes (default: --fast sizes, the "
                              "configuration the committed report is built at)")
-    rbuild.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the scenario executor")
-    rbuild.add_argument("--cache", metavar="DIR", default=None,
-                        help="on-disk scenario result cache (a rebuild is "
-                             "served from it)")
     rbuild.add_argument("--experiments", nargs="+", default=None,
                         metavar="NAME",
                         help="restrict to these experiments (default: the "
                              "full report set)")
-
-    rquery = rsub.add_parser(
-        "query", help="run one read-only SQL query against a results database"
+    rquery = _add_command(
+        rsub, "query", cmd_report_query,
+        "run one read-only SQL query against a results database",
     )
     rquery.add_argument("sql", nargs="?", default=None,
                         help="SQL to run (tables: runs, breakdown, stats, "
                              "claims, campaign_cells, e2e_metrics, "
                              "telemetry_series, artifacts, ingests, ...)")
-    rquery.add_argument("--db", metavar="FILE", default="results.db")
-    rquery.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable output")
+    add_options(rquery, "json", db={"default": "results.db"})
     rquery.add_argument("--tables", action="store_true",
                         help="print per-table row counts and exit")
-
-    rdiff = rsub.add_parser(
-        "diff", help="byte-compare two report directories by content hash"
-    )
+    rdiff = _add_command(rsub, "diff", cmd_report_diff,
+                         "byte-compare two report directories by content hash")
     rdiff.add_argument("dir_a", help="report directory (e.g. docs/report)")
     rdiff.add_argument("dir_b", help="report directory to compare against")
-
-    rmanifest = rsub.add_parser(
-        "manifest",
-        help="print (or --check) a report directory's SHA-256 manifest",
+    rmanifest = _add_command(
+        rsub, "manifest", cmd_report_manifest,
+        "print (or --check) a report directory's SHA-256 manifest",
     )
     rmanifest.add_argument("dir", help="report directory")
     rmanifest.add_argument("--check", action="store_true",
@@ -464,27 +501,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def cmd_list(args) -> int:
+    for name in sorted(WORKLOADS):
+        print(name)
+    return 0
+
+
+def cmd_table51(args) -> int:
+    from repro.experiments.figures import table51
+
+    print(table51())
+    return 0
+
+
 def cmd_run(args) -> int:
     # --timeline is polymorphic: an integer keeps the classic windowed
     # ASCII timeline; anything else is a Chrome trace-event output path.
-    timeline_window = None
-    timeline_out = None
-    if args.timeline is not None:
-        if args.timeline.isdigit():
-            timeline_window = int(args.timeline)
-        else:
-            timeline_out = args.timeline
-    try:
-        config = _config_from_args(args, timeline=timeline_window)
-    except (OSError, TypeError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    workload = WORKLOADS[args.workload](args)
+    windowed = (args.timeline or "").isdigit()
+    timeline_window = int(args.timeline) if windowed else None
+    timeline_out = None if windowed else args.timeline
+    config, workload = _config_and_workload(args, timeline=timeline_window)
     telemetry = None
     if args.telemetry or timeline_out:
-        if args.sample_every < 1:
-            print("error: --sample-every must be >= 1", file=sys.stderr)
-            return 2
         from repro.obs import TelemetryConfig
 
         telemetry = TelemetryConfig(
@@ -505,9 +543,7 @@ def cmd_run(args) -> int:
         result = profiler.runcall(run_workload, config, workload, telemetry)
         profiler.dump_stats(args.profile)
         if args.profile_top > 0:
-            stats = pstats.Stats(profiler)
-            stats.sort_stats("tottime")
-            stats.print_stats(args.profile_top)
+            pstats.Stats(profiler).sort_stats("tottime").print_stats(args.profile_top)
         print("profile written to %s" % args.profile)
     else:
         result = run_workload(config, workload, telemetry=telemetry)
@@ -536,18 +572,23 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    import json
+def _failed(header: str, lines, to_stdout: bool = False) -> int:
+    """Print ``header`` and the indented ``lines`` (to stderr unless
+    ``to_stdout``); returns exit status 1."""
+    stream = sys.stdout if to_stdout else sys.stderr
+    print(header, file=stream)
+    for line in lines:
+        print("  " + line, file=stream)
+    return 1
 
+
+def cmd_sweep(args) -> int:
     from repro.core.report import to_csv
     from repro.experiments.executor import execute
     from repro.experiments.spec import load_scenarios
 
-    try:
+    with fail_on(OSError, ValueError):
         scenarios = load_scenarios(args.file)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     progress, telemetry = _batch_telemetry(args)
     records = execute(scenarios, jobs=args.jobs, cache_dir=args.cache,
                       progress=progress, telemetry=telemetry,
@@ -574,19 +615,14 @@ def cmd_sweep(args) -> int:
         )
         lines = ["sweep: %d scenario(s) from %s%s"
                  % (len(records), args.file, counts)]
-        for r in records:
-            lines.append(
-                "  %-40s %10d cycles  %s%s"
-                % (
-                    r.scenario.name,
-                    r.result.cycles,
-                    "cached" if r.cached else "%.2fs" % r.elapsed_s,
-                    "" if r.ok else "  CHECK FAILED",
-                )
-            )
-        lines.append("")
-        lines.append(format_table(breakdowns))
-        lines.append(format_stacked_bars(breakdowns))
+        lines += [
+            "  %-40s %10d cycles  %s%s"
+            % (r.scenario.name, r.result.cycles,
+               "cached" if r.cached else "%.2fs" % r.elapsed_s,
+               "" if r.ok else "  CHECK FAILED")
+            for r in records
+        ]
+        lines += ["", format_table(breakdowns), format_stacked_bars(breakdowns)]
         report = "\n".join(lines)
     print(report)
     if args.out:
@@ -598,32 +634,22 @@ def cmd_sweep(args) -> int:
         if not r.ok
     ]
     if violations:
-        print("expected-shape violations:", file=sys.stderr)
-        for line in violations:
-            print("  " + line, file=sys.stderr)
-        return 1
+        return _failed("expected-shape violations:", violations)
     return 0
 
 
 def _batch_telemetry(args):
     """(progress, telemetry) pair for the sweep/campaign executors."""
-    progress = None
-    if not args.quiet:
-        from repro.obs import cell_progress_printer
+    from repro.obs import cell_progress_printer
 
-        progress = cell_progress_printer()
+    progress = None if args.quiet else cell_progress_printer()
     telemetry = None
     if args.telemetry:
-        telemetry = {
-            "out_dir": args.telemetry,
-            "sample_every": args.sample_every,
-        }
+        telemetry = {"out_dir": args.telemetry, "sample_every": args.sample_every}
     return progress, telemetry
 
 
 def _write_cells_timeline(path: str, records) -> None:
-    import json
-
     from repro.obs import cells_trace
 
     with open(path, "w", encoding="utf-8") as fh:
@@ -633,9 +659,6 @@ def _write_cells_timeline(path: str, records) -> None:
 
 
 def cmd_campaign(args) -> int:
-    import json
-    import os
-
     from repro.experiments.campaign import (
         default_campaign,
         load_campaign,
@@ -644,17 +667,15 @@ def cmd_campaign(args) -> int:
     )
 
     if args.spec and args.fast:
-        print("error: --fast scales the built-in fleet campaign only; size "
-              "a --spec campaign in its file instead", file=sys.stderr)
-        return 2
+        raise CLIError("--fast scales the built-in fleet campaign only; size "
+                       "a --spec campaign in its file instead")
     distributed = args.workers > 0 or args.queue is not None
     plan = args.plan is not None
     if distributed and args.jobs > 1:
-        print("error: --jobs sizes the in-process pool; a queued campaign "
-              "runs on --workers N instead (drop --jobs, or drop "
-              "--workers/--queue)", file=sys.stderr)
-        return 2
-    try:
+        raise CLIError("--jobs sizes the in-process pool; a queued campaign "
+                       "runs on --workers N instead (drop --jobs, or drop "
+                       "--workers/--queue)")
+    with fail_on(OSError, ValueError, RuntimeError):
         spec = load_campaign(args.spec) if args.spec else default_campaign(args.fast)
         spec = spec.subset(
             workloads=args.workloads.split(",") if args.workloads else None,
@@ -680,9 +701,6 @@ def cmd_campaign(args) -> int:
                               progress=progress, telemetry=telemetry,
                               plan=plan, trace_dir=args.plan or None,
                               results_db=args.db, queue=queue)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     if args.db:
         print("ingested campaign %s into %s" % (result.spec.name, args.db),
               file=sys.stderr)
@@ -695,104 +713,62 @@ def cmd_campaign(args) -> int:
     else:
         print(result.render())
     if args.out:
-        try:
+        with fail_on(OSError, prefix="cannot write artifacts: "):
             for path in write_artifacts(result, args.out):
                 print("wrote %s" % path, file=sys.stderr)
-        except OSError as exc:
-            print("error: cannot write artifacts: %s" % exc, file=sys.stderr)
-            return 2
     violations = [r for r in result.records if not r.ok]
     return 1 if violations else 0
 
 
-def _parse_override(text: str):
-    """``field=value`` -> (field, value), with JSON-style value coercion."""
-    import json
+def cmd_trace_record(args) -> int:
+    from repro.trace import record_workload, save_trace
 
-    if "=" not in text:
-        raise ValueError("override %r is not of the form FIELD=VALUE" % text)
-    field, raw = text.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except ValueError:
-        value = raw  # bare strings (e.g. protocol=denovo)
-    return field.strip(), value
+    config, workload = _config_and_workload(args)
+    with fail_on(OSError, ValueError):
+        result, trace = record_workload(
+            config, workload, name=args.workload,
+            workload_args=workload_kwargs(args),
+        )
+        sha = save_trace(trace, args.out)
+    print(result.summary())
+    print("execution: %d cycles, %d instructions, IPC %.3f" % (
+        result.cycles, result.instructions, result.ipc))
+    print("trace: %s (%d events, %d SM streams, sha256 %s...)"
+          % (args.out, trace.num_events, trace.num_sms, sha[:12]))
+    return 0
 
 
-def cmd_trace(args) -> int:
+def _load_trace(path: str):
+    from repro.trace import TraceFormatError, load_trace
+
+    with fail_on(TraceFormatError):
+        return load_trace(path)
+
+
+def cmd_trace_info(args) -> int:
+    trace = _load_trace(args.file)
+    print("trace %s" % args.file)
+    for label, value in trace.summary_rows():
+        print("  %-22s %s" % (label, value))
+    return 0
+
+
+def cmd_trace_replay(args) -> int:
     from repro.trace import (
-        TraceFormatError,
         compare_memory_stats,
         compare_recorded_breakdown,
-        load_trace,
         memory_side_stats,
-        record_workload,
         replay_trace,
-        save_trace,
     )
 
-    if args.trace_command == "record":
-        try:
-            config = _config_from_args(args)
-        except (OSError, TypeError, ValueError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        factory = WORKLOADS[args.workload]
-        workload = factory(args)
-        try:
-            result, trace = record_workload(
-                config,
-                workload,
-                name=args.workload,
-                workload_args=factory.provenance(args),
-            )
-            sha = save_trace(trace, args.out)
-        except (OSError, ValueError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(result.summary())
-        print("execution: %d cycles, %d instructions, IPC %.3f" % (
-            result.cycles, result.instructions, result.ipc))
-        print("trace: %s (%d events, %d SM streams, sha256 %s...)"
-              % (args.out, trace.num_events, trace.num_sms, sha[:12]))
-        return 0
-
-    try:
-        trace = load_trace(args.file)
-    except TraceFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-
-    if args.trace_command == "info":
-        print("trace %s" % args.file)
-        for label, value in trace.summary_rows():
-            print("  %-22s %s" % (label, value))
-        return 0
-
-    # replay
-    overrides = {}
-    if args.mshr is not None:
-        overrides["mshr_entries"] = args.mshr
-    if args.store_buffer is not None:
-        overrides["store_buffer_entries"] = args.store_buffer
-    if args.protocol is not None:
-        overrides["protocol"] = args.protocol
-    for text in args.overrides:
-        try:
-            field, value = _parse_override(text)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        overrides[field] = value
+    trace = _load_trace(args.file)
+    with fail_on(ValueError):
+        overrides = config_overrides(args)
     if args.verify and overrides:
-        print("error: --verify compares against the recorded configuration; "
-              "drop the overrides", file=sys.stderr)
-        return 2
-    try:
+        raise CLIError("--verify compares against the recorded configuration; "
+                       "drop the overrides")
+    with fail_on(ValueError, RuntimeError):
         result = replay_trace(trace, overrides=overrides or None)
-    except (ValueError, RuntimeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     print(result.summary())
     print("replay: %d cycles (recorded execution: %d)%s" % (
         result.cycles, trace.cycles,
@@ -814,10 +790,8 @@ def cmd_trace(args) -> int:
                 "cycles: recorded %d != replayed %d" % (trace.cycles, result.cycles)
             )
         if mismatches:
-            print("verify FAILED: %d mismatch(es)" % len(mismatches), file=sys.stderr)
-            for line in mismatches:
-                print("  " + line, file=sys.stderr)
-            return 1
+            return _failed("verify FAILED: %d mismatch(es)" % len(mismatches),
+                           mismatches)
         print("verify OK: replayed memory-side stats and stall attribution "
               "match the recording exactly")
     return 0
@@ -827,16 +801,10 @@ def cmd_worker(args) -> int:
     from repro.experiments.dispatch import QueueError, run_worker
 
     try:
-        stats = run_worker(
-            args.queue,
-            poll_s=args.poll,
-            lease_expiry_s=args.lease_expiry,
-            max_tasks=args.max_tasks,
-            worker_id=args.worker_id,
-        )
-    except QueueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        with fail_on(QueueError):
+            stats = run_worker(args.queue, poll_s=args.poll,
+                               lease_expiry_s=args.lease_expiry,
+                               max_tasks=args.max_tasks, worker_id=args.worker_id)
     except KeyboardInterrupt:
         print("worker interrupted; claimed cells will be reclaimed after "
               "the lease expiry", file=sys.stderr)
@@ -850,8 +818,6 @@ def cmd_worker(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    import json
-
     from repro.experiments.cachetool import (
         cache_info,
         cache_prune,
@@ -859,16 +825,13 @@ def cmd_cache(args) -> int:
         format_info,
     )
 
-    try:
+    with fail_on(ValueError):
         if args.cache_command == "info":
             data = cache_info(args.dir)
         elif args.cache_command == "verify":
             data = cache_verify(args.dir)
         else:
             data = cache_prune(args.dir, tmp_age_s=args.tmp_age)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     if args.as_json:
         print(json.dumps(data, indent=2, sort_keys=True))
     elif args.cache_command == "info":
@@ -887,97 +850,83 @@ def cmd_cache(args) -> int:
                  data["kept_entries"]))
         for name in data["removed"]:
             print("  removed %s" % name)
-    if args.cache_command == "verify":
-        problems = (len(data["quarantined"]) + len(data["stale_version"])
-                    + len(data["key_mismatch"]))
-        return 1 if problems else 0
-    return 0
+    problems = args.cache_command == "verify" and (
+        data["quarantined"] or data["stale_version"] or data["key_mismatch"])
+    return 1 if problems else 0
 
 
-def cmd_report(args) -> int:
-    """The results-database surface: build/query/diff/manifest (see the
-    README's "Results database" section and docs/ARTIFACTS.md)."""
-    import json
-    import os
-    import sqlite3
+# The results-database surface: report build/query/diff/manifest (see the
+# README's "Results database" section and docs/ARTIFACTS.md).
 
+def cmd_report_build(args) -> int:
     from repro.results import report_gen
     from repro.results.db import ResultsDB
 
-    if args.report_command == "build":
-        if args.jobs < 1:
-            print("error: --jobs must be >= 1", file=sys.stderr)
-            return 2
-        try:
-            with ResultsDB(args.db) as db:
-                out = report_gen.build(
-                    args.out, db,
-                    fast=not args.full,
-                    jobs=args.jobs,
-                    cache_dir=args.cache,
-                    experiments=args.experiments,
-                )
-        except (OSError, ValueError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        for path in out["files"] + [out["manifest"]]:
-            print("wrote %s" % path)
-        print("results database: %s (query with 'repro report query "
-              "--db %s')" % (args.db, args.db), file=sys.stderr)
-        return 0
-
-    if args.report_command == "query":
-        if not os.path.exists(args.db):
-            print("error: no results database at %s (build one with "
-                  "'repro report build' or sweep/campaign --db)" % args.db,
-                  file=sys.stderr)
-            return 2
+    with fail_on(OSError, ValueError):
         with ResultsDB(args.db) as db:
-            if args.tables:
-                summary = db.summary()
-                if args.as_json:
-                    print(json.dumps(summary, indent=2, sort_keys=True))
-                else:
-                    for table, count in summary.items():
-                        print("%-20s %d" % (table, count))
-                return 0
-            if not args.sql:
-                print("error: provide a SQL query or --tables",
-                      file=sys.stderr)
-                return 2
-            try:
-                columns, rows = db.query(args.sql)
-            except sqlite3.Error as exc:
-                print("error: %s" % exc, file=sys.stderr)
-                return 2
-        if args.as_json:
-            print(json.dumps([dict(zip(columns, row)) for row in rows],
-                             indent=2, sort_keys=True))
-        else:
-            if columns:
-                print("\t".join(columns))
-            for row in rows:
-                print("\t".join(str(v) for v in row))
-        return 0
+            out = report_gen.build(args.out, db, fast=not args.full,
+                                   jobs=args.jobs, cache_dir=args.cache,
+                                   experiments=args.experiments)
+    for path in out["missing"]:
+        print("warning: %s is missing from %s; the report leaves out its "
+              "section" % (path, report_gen.REPO_ROOT), file=sys.stderr)
+    for path in out["files"] + [out["manifest"]]:
+        print("wrote %s" % path)
+    print("results database: %s (query with 'repro report query "
+          "--db %s')" % (args.db, args.db), file=sys.stderr)
+    return 0
 
-    if args.report_command == "diff":
-        problems = report_gen.diff_reports(args.dir_a, args.dir_b)
-        if problems:
-            print("reports differ (%d file(s)):" % len(problems))
-            for line in problems:
-                print("  " + line)
-            return 1
-        print("reports are byte-identical")
-        return 0
 
-    # manifest
+def cmd_report_query(args) -> int:
+    import sqlite3
+
+    from repro.results.db import ResultsDB
+
+    if not os.path.exists(args.db):
+        raise CLIError("no results database at %s (build one with "
+                       "'repro report build' or sweep/campaign --db)" % args.db)
+    with ResultsDB(args.db) as db:
+        if args.tables:
+            summary = db.summary()
+            if args.as_json:
+                print(json.dumps(summary, indent=2, sort_keys=True))
+            else:
+                for table, count in summary.items():
+                    print("%-20s %d" % (table, count))
+            return 0
+        if not args.sql:
+            raise CLIError("provide a SQL query or --tables")
+        with fail_on(sqlite3.Error):
+            columns, rows = db.query(args.sql)
+    if args.as_json:
+        print(json.dumps([dict(zip(columns, row)) for row in rows],
+                         indent=2, sort_keys=True))
+    else:
+        if columns:
+            print("\t".join(columns))
+        for row in rows:
+            print("\t".join(str(v) for v in row))
+    return 0
+
+
+def cmd_report_diff(args) -> int:
+    from repro.results import report_gen
+
+    problems = report_gen.diff_reports(args.dir_a, args.dir_b)
+    if problems:
+        return _failed("reports differ (%d file(s)):" % len(problems), problems,
+                       to_stdout=True)
+    print("reports are byte-identical")
+    return 0
+
+
+def cmd_report_manifest(args) -> int:
+    from repro.results import report_gen
+
     if args.check:
         problems = report_gen.check_manifest(args.dir)
         if problems:
-            print("manifest check FAILED:", file=sys.stderr)
-            for line in problems:
-                print("  " + line, file=sys.stderr)
-            return 1
+            return _failed("manifest check FAILED:", problems)
         print("manifest OK: %s matches its %s"
               % (args.dir, report_gen.MANIFEST_NAME))
         return 0
@@ -988,41 +937,23 @@ def cmd_report(args) -> int:
 def cmd_telemetry(args) -> int:
     from repro.obs import summarize_series
 
-    try:
+    with fail_on(OSError, ValueError):
         print(summarize_series(args.file, fmt=args.fmt,
                                columns=args.columns or None), end="")
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "list":
-        for name in sorted(WORKLOADS):
-            print(name)
-        return 0
-    if args.command == "table51":
-        from repro.experiments.figures import table51
-
-        print(table51())
-        return 0
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "campaign":
-        return cmd_campaign(args)
-    if args.command == "worker":
-        return cmd_worker(args)
-    if args.command == "cache":
-        return cmd_cache(args)
-    if args.command == "trace":
-        return cmd_trace(args)
-    if args.command == "telemetry":
-        return cmd_telemetry(args)
-    if args.command == "report":
-        return cmd_report(args)
-    return cmd_run(args)
+def main(argv: list[str] | None = None,
+         parser: argparse.ArgumentParser | None = None) -> int:
+    """Parse ``argv`` with ``parser`` (default: :func:`build_parser`) and
+    run the command it selects; a CLIError exits 2 with ``error: ...``."""
+    args = (parser or build_parser()).parse_args(argv)
+    try:
+        check_minimums(args)
+        return args.func(args)
+    except CLIError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.experiments import figures
@@ -36,10 +37,6 @@ class Artifact:
     text: str
     data: dict
     csv: str
-
-
-def _figure_artifact(name: str, result) -> Artifact:
-    return Artifact(name, result.render(), result.to_dict(), result.to_csv())
 
 
 def experiment_results(
@@ -87,22 +84,12 @@ def experiment_results(
     raise ValueError("no scenario-backed experiment named %r" % name)
 
 
-def _run_fig61(fast: bool, jobs: int, cache_dir: str | None) -> Artifact:
-    return _figure_artifact(
-        "fig6.1", experiment_results("fig6.1", fast, jobs, cache_dir)
-    )
-
-
-def _run_fig62(fast: bool, jobs: int, cache_dir: str | None) -> Artifact:
-    return _figure_artifact(
-        "fig6.2", experiment_results("fig6.2", fast, jobs, cache_dir)
-    )
-
-
-def _run_fig63(fast: bool, jobs: int, cache_dir: str | None) -> Artifact:
-    return _figure_artifact(
-        "fig6.3", experiment_results("fig6.3", fast, jobs, cache_dir)
-    )
+def _scenario_artifact(name: str, fast: bool, jobs: int,
+                       cache_dir: str | None) -> Artifact:
+    """A scenario-backed experiment whose result renders itself (the
+    figures and the campaign)."""
+    result = experiment_results(name, fast, jobs, cache_dir)
+    return Artifact(name, result.render(), result.to_dict(), result.to_csv())
 
 
 def _run_fig64(fast: bool, jobs: int, cache_dir: str | None) -> Artifact:
@@ -129,17 +116,6 @@ def _run_table51(fast: bool, jobs: int, cache_dir: str | None) -> Artifact:
     )
 
 
-def _run_hierarchy(fast: bool, jobs: int, cache_dir: str | None) -> Artifact:
-    return _figure_artifact(
-        "hierarchy", experiment_results("hierarchy", fast, jobs, cache_dir)
-    )
-
-
-def _run_campaign(fast: bool, jobs: int, cache_dir: str | None) -> Artifact:
-    result = experiment_results("campaign", fast, jobs, cache_dir)
-    return Artifact("campaign", result.render(), result.to_dict(), result.to_csv())
-
-
 def _run_overhead(fast: bool, jobs: int, cache_dir: str | None) -> Artifact:
     stats = figures.overhead_experiment(repeats=1 if fast else 3)
     text = (
@@ -155,16 +131,14 @@ def _run_overhead(fast: bool, jobs: int, cache_dir: str | None) -> Artifact:
 
 EXPERIMENTS: dict[str, Callable[[bool, int, str | None], Artifact]] = {
     "table5.1": _run_table51,
-    "fig6.1": _run_fig61,
-    "fig6.2": _run_fig62,
-    "fig6.3": _run_fig63,
+    "fig6.1": partial(_scenario_artifact, "fig6.1"),
+    "fig6.2": partial(_scenario_artifact, "fig6.2"),
+    "fig6.3": partial(_scenario_artifact, "fig6.3"),
     "fig6.4": _run_fig64,
-    "hierarchy": _run_hierarchy,
-    "campaign": _run_campaign,
+    "hierarchy": partial(_scenario_artifact, "hierarchy"),
+    "campaign": partial(_scenario_artifact, "campaign"),
     "overhead": _run_overhead,
 }
-
-FORMATS = ("text", "json", "csv")
 
 
 def select(names: list[str] | None) -> list[str]:
@@ -224,55 +198,49 @@ def run(
     cache_dir: str | None = None,
 ) -> str:
     """Run the named experiments (all by default); returns the report."""
-    if fmt not in FORMATS:
-        raise ValueError("format must be one of %s" % (FORMATS,))
+    if fmt not in _EXTENSIONS:
+        raise ValueError("format must be one of %s" % (tuple(_EXTENSIONS),))
     artifacts = [EXPERIMENTS[name](fast, jobs, cache_dir) for name in select(names)]
     return _render(artifacts, fmt)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments",
-        description="Regenerate the paper's tables and figures.",
-    )
-    parser.add_argument("experiments", nargs="*", help="subset to run")
-    parser.add_argument(
-        "--fast", action="store_true", help="reduced problem sizes (CI-friendly)"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="simulate scenarios on N worker processes (default: 1)",
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="text", dest="fmt",
-        help="output format (default: text); csv on stdout is one "
-             "blank-line-separated table per experiment -- combine with "
-             "--out for separate files",
-    )
-    parser.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="also write one file per experiment into DIR",
-    )
-    parser.add_argument(
-        "--cache", metavar="DIR", default=None, dest="cache_dir",
-        help="on-disk scenario result cache (reruns skip unchanged points)",
-    )
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    try:
+def _regenerate(args) -> int:
+    from repro.cli import fail_on
+
+    with fail_on(ValueError):
         names = select(args.experiments or None)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    artifacts = [
-        EXPERIMENTS[name](args.fast, args.jobs, args.cache_dir) for name in names
-    ]
+    artifacts = [EXPERIMENTS[n](args.fast, args.jobs, args.cache_dir) for n in names]
     print(_render(artifacts, args.fmt))
     if args.out:
         for path in write_artifacts(artifacts, args.out, args.fmt):
             print("wrote %s" % path, file=sys.stderr)
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    from repro import cli
+
+    parser = argparse.ArgumentParser(
+        prog="repro.experiments",
+        description="Regenerate the paper's tables and figures.",
+    )
+    parser.set_defaults(func=_regenerate)
+    parser.add_argument("experiments", nargs="*", help="subset to run")
+    parser.add_argument(
+        "--fast", action="store_true", help="reduced problem sizes (CI-friendly)"
+    )
+    cli.add_options(
+        parser,
+        jobs="simulate scenarios on N worker processes (default: 1)",
+        format="output format (default: text); csv on stdout is one "
+               "blank-line-separated table per experiment -- combine with "
+               "--out for separate files",
+        out="also write one file per experiment into DIR",
+        cache={"dest": "cache_dir",
+               "help": "on-disk scenario result cache (reruns skip unchanged "
+                       "points)"},
+    )
+    return cli.main(argv, parser)
 
 
 if __name__ == "__main__":  # pragma: no cover

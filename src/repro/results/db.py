@@ -23,7 +23,8 @@ source formats each table is fed from:
   config overrides, cycles, instructions, cache provenance, and the
   SHA-256 of the canonical result payload.
 * ``breakdown`` -- the GSI stall attribution per run, one row per
-  category (the exact ``StallBreakdown.rows()`` labels).
+  category (the exact ``StallBreakdown.rows()`` labels); none for a run
+  served by trace replay, which has no attribution.
 * ``stats`` -- the flattened per-component stats projection per run
   (``l1.sm0.load_hits`` style dotted paths).
 * ``campaign_cells`` -- the stall-attribution matrix, one row per
@@ -274,7 +275,10 @@ class ResultsDB:
                 cached=record.cached,
                 elapsed_s=record.elapsed_s,
                 result_sha256=hashlib.sha256(payload.encode()).hexdigest(),
-                breakdown_rows=result.breakdown.rows(),
+                # a replayed cell's spans are recorded memory-side time,
+                # not a GSI breakdown (as in campaign_cells)
+                breakdown_rows=None if record.replayed
+                else result.breakdown.rows(),
                 stats=result.stats,
                 ingest_id=ingest_id,
             )
@@ -391,12 +395,13 @@ class ResultsDB:
         self._conn.commit()
         return count
 
-    def ingest_e2e(self, path: str) -> int:
+    def ingest_e2e(self, path: str, root: str = "") -> int:
         """Ingest a file of end-to-end benchmark run records (one record
         or a list, as ``benchmarks/e2e/compare.py`` reads them): one row
-        per record and metric.  Returns the number of records."""
+        per record and metric.  ``path`` is read relative to ``root`` and
+        recorded as given.  Returns the number of records."""
         ingest_id = self._begin_ingest("e2e", path)
-        with open(path, encoding="utf-8") as fh:
+        with open(os.path.join(root, path), encoding="utf-8") as fh:
             payload = json.load(fh)
         records = payload if isinstance(payload, list) else [payload]
         self._conn.execute("DELETE FROM e2e_metrics WHERE source = ?", (path,))
@@ -412,7 +417,7 @@ class ResultsDB:
                         reading.get("unit"), reading.get("value"), ingest_id,
                     ),
                 )
-        self._record_artifact(path, "e2e", ingest_id)
+        self._record_artifact(path, "e2e", ingest_id, root)
         self._conn.commit()
         return len(records)
 
@@ -474,34 +479,37 @@ class ResultsDB:
         self._record_artifact(path, "telemetry", ingest_id)
         return True
 
-    def ingest_artifact_files(self, paths, kind: str) -> int:
+    def ingest_artifact_files(self, paths, kind: str, root: str = "") -> int:
         """Record byte-exact source files (goldens, campaign text/CSV
         artifacts, traces) in the content-hash ledger.  ``paths`` may mix
-        files and directories (directories are scanned non-recursively).
+        files and directories (directories are scanned non-recursively);
+        they are read relative to ``root`` and recorded as given.
         Returns the number of files recorded."""
         if isinstance(paths, str):
             paths = [paths]
         files: list[str] = []
         for path in paths:
-            if os.path.isdir(path):
+            full = os.path.join(root, path)
+            if os.path.isdir(full):
                 files += [
                     os.path.join(path, name)
-                    for name in sorted(os.listdir(path))
-                    if os.path.isfile(os.path.join(path, name))
+                    for name in sorted(os.listdir(full))
+                    if os.path.isfile(os.path.join(full, name))
                 ]
-            elif os.path.isfile(path):
+            elif os.path.isfile(full):
                 files.append(path)
         ingest_id = self._begin_ingest(kind, ",".join(paths))
         for path in files:
-            self._record_artifact(path, kind, ingest_id)
+            self._record_artifact(path, kind, ingest_id, root)
         self._conn.commit()
         return len(files)
 
     # -- internals ------------------------------------------------------
-    def _record_artifact(self, path: str, kind: str, ingest_id: int) -> None:
+    def _record_artifact(self, path: str, kind: str, ingest_id: int,
+                         root: str = "") -> None:
         try:
-            sha = file_sha256(path)
-            size = os.stat(path).st_size
+            sha = file_sha256(os.path.join(root, path))
+            size = os.stat(os.path.join(root, path)).st_size
         except OSError:
             return
         self._conn.execute(

@@ -51,6 +51,12 @@ MANIFEST_NAME = "MANIFEST.sha256"
 #: repro.core.report.MATRIX_COLUMNS)
 _ATTR_COLUMNS = ("no_stall", "mem_data", "mem_struct", "sync", "compute", "other")
 
+#: the checkout this module runs from (src/repro/results/ -> root): the
+#: committed inputs below are read relative to it, whatever the working
+#: directory, and rendered by their repo-relative paths
+REPO_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, os.pardir)
+)
 DEFAULT_BASELINE = os.path.join("benchmarks", "e2e", "baseline", "run-1.json")
 DEFAULT_GOLDENS = os.path.join("benchmarks", "artifacts", "goldens")
 
@@ -71,11 +77,12 @@ def build(
 ) -> dict:
     """Regenerate, ingest and render the full report into ``out_dir``.
 
-    Returns ``{"files": [...], "manifest": path, "experiments": [...]}``.
-    ``experiments`` restricts the set (names from
+    Returns ``{"files": [...], "manifest": path, "experiments": [...],
+    "missing": [...]}``.  ``experiments`` restricts the set (names from
     :data:`REPORT_EXPERIMENTS`); the committed benchmark baseline and
-    golden outputs are ingested when present and skipped silently
-    otherwise.
+    golden outputs are ingested by :func:`ingest_inputs` when present,
+    and ``missing`` names those that are not (the report then leaves out
+    their sections).
     """
     from repro.experiments import runner
 
@@ -105,13 +112,7 @@ def build(
             db.ingest_experiment(result)
             db_names.append(result.experiment)
 
-    baseline = None
-    if os.path.exists(baseline_path):
-        db.ingest_e2e(baseline_path)
-        baseline = baseline_path
-    if os.path.isdir(goldens_dir):
-        db.ingest_artifact_files(goldens_dir, "golden")
-
+    baseline, missing = ingest_inputs(db, baseline_path, goldens_dir)
     doc = collect(db, db_names, campaign_name, fast, baseline)
     os.makedirs(out_dir, exist_ok=True)
     files = []
@@ -125,7 +126,32 @@ def build(
             fh.write(payload)
         files.append(path)
     manifest = write_manifest(out_dir)
-    return {"files": files, "manifest": manifest, "experiments": db_names}
+    return {"files": files, "manifest": manifest, "experiments": db_names,
+            "missing": missing}
+
+
+def ingest_inputs(
+    db: ResultsDB,
+    baseline_path: str = DEFAULT_BASELINE,
+    goldens_dir: str = DEFAULT_GOLDENS,
+) -> tuple:
+    """Ingest the committed benchmark baseline and golden outputs, each
+    read relative to :data:`REPO_ROOT` and recorded under its given path.
+
+    Returns ``(baseline, missing)``: the baseline path the perf section
+    reads (``None`` when absent) and the given paths that are absent.
+    """
+    baseline, missing = None, []
+    if os.path.exists(os.path.join(REPO_ROOT, baseline_path)):
+        db.ingest_e2e(baseline_path, root=REPO_ROOT)
+        baseline = baseline_path
+    else:
+        missing.append(baseline_path)
+    if os.path.isdir(os.path.join(REPO_ROOT, goldens_dir)):
+        db.ingest_artifact_files(goldens_dir, "golden", root=REPO_ROOT)
+    else:
+        missing.append(goldens_dir)
+    return baseline, missing
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,31 @@ class TestRun:
         assert main(["run", "streaming", "--hierarchy", "missing.json"]) == 2
 
 
+class TestOptionChecks:
+    """Bad numeric options exit 2 with ``error:`` before anything runs."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["sweep", "missing.json", "--jobs", "0"], "--jobs"),
+        (["campaign", "--jobs", "-1"], "--jobs"),
+        (["campaign", "--sample-every", "0", "--telemetry", "D"], "--sample-every"),
+        (["campaign", "--workers", "-1"], "--workers"),
+        (["run", "streaming", "--warps", "0"], "--warps"),
+        (["report", "build", "--jobs", "0"], "--jobs"),
+    ])
+    def test_bad_value_exits_2(self, argv, option, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s must be >= " % option)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_experiments_runner_rejects_jobs_0(self, capsys):
+        from repro.experiments import runner
+
+        assert runner.main(["--jobs", "0", "table5.1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --jobs must be >= 1")
+
+
 class TestSweep:
     @pytest.fixture
     def spec_file(self, tmp_path):

@@ -151,6 +151,25 @@ class TestIngestCampaign:
             else:
                 assert None not in cell[2:]
 
+    def test_replayed_runs_store_no_breakdown(self, tmp_path):
+        result = run_campaign(tiny_spec(), cache_dir=str(tmp_path / "cache"),
+                              plan=True, trace_dir=str(tmp_path / "traces"))
+        with ResultsDB(str(tmp_path / "c.db")) as db:
+            db.ingest_campaign(result)
+            _, rows = db.query(
+                "SELECT runs.name, COUNT(breakdown.category) FROM runs"
+                " LEFT JOIN breakdown ON breakdown.run_id = runs.id"
+                " GROUP BY runs.id ORDER BY runs.id"
+            )
+        counts = dict(rows)
+        assert len(counts) == 4  # every cell keeps its runs row
+        for record in result.records:
+            if record.replayed:
+                assert counts[record.scenario.name] == 0
+            else:
+                assert counts[record.scenario.name] == len(
+                    record.result.breakdown.rows())
+
     def test_campaign_runs_ingested_alongside_cells(self, tmp_path):
         result = run_campaign(tiny_spec(), cache_dir=str(tmp_path / "cache"))
         with ResultsDB(str(tmp_path / "c.db")) as db:
@@ -274,6 +293,28 @@ def built_reports(tmp_path_factory):
             )
         dirs.append(out)
     return {"dirs": dirs, "db": db_path, "tmp": tmp}
+
+
+class TestReportInputs:
+    def test_inputs_resolve_from_another_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with ResultsDB(str(tmp_path / "in.db")) as db:
+            baseline, missing = report_gen.ingest_inputs(db)
+            doc = report_gen.collect(db, [], None, True, baseline)
+        assert missing == []
+        # rendered by their repo-relative paths, whatever the cwd
+        assert doc["bench"]["source"] == "benchmarks/e2e/baseline/run-1.json"
+        assert doc["bench"]["medians"]
+        assert doc["goldens"]
+        for golden in doc["goldens"]:
+            assert golden["path"].startswith("benchmarks/artifacts/goldens/")
+
+    def test_missing_inputs_are_named(self, tmp_path):
+        absent = [str(tmp_path / "absent.json"), str(tmp_path / "absent")]
+        with ResultsDB(str(tmp_path / "in.db")) as db:
+            baseline, missing = report_gen.ingest_inputs(db, *absent)
+        assert baseline is None
+        assert missing == absent
 
 
 class TestReportBuild:
