@@ -258,7 +258,8 @@ def _config_and_workload(args, timeline: "int | None" = None):
     """The SystemConfig and workload that ``run``/``trace record`` build
     from their sim options; a bad config option is a CLIError."""
     # the store buffer follows --mshr unless it is sized on its own
-    args.store_buffer = args.store_buffer or args.mshr
+    if args.store_buffer is None:
+        args.store_buffer = args.mshr
     with fail_on(OSError, TypeError, ValueError):
         config = SystemConfig(warp_scheduler=args.scheduler,
                               timeline_window=timeline, seed=args.seed)

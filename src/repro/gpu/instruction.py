@@ -15,7 +15,7 @@ matching the paper's data-race-free consistency model) and with thread-block
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 
@@ -78,6 +78,13 @@ class Instruction:
     #: payload of a STORE (``store_value()``); slots forbid the dynamic
     #: attribute the unslotted class used to attach.
     _store_value: int | None = None
+    #: the LSU's memo of the address-static facts it re-reads every cycle
+    #: the instruction waits (``Lsu.coalesced``, ``Lsu.stash_lines``):
+    #: ``(key, ...)``, where the key names everything the facts depend on
+    #: besides ``addrs``.  An instruction can outlive the System that first
+    #: checked it, so a memo under another key is recomputed, never read.
+    _coalesced: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _stash_lines: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -32,7 +32,7 @@ from repro.sim.config import SystemConfig
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mem.dma import DmaEngine
     from repro.mem.scratchpad import Scratchpad
-    from repro.mem.stash import Stash
+    from repro.mem.stash import LinePairs, Stash
 
 
 @dataclass(slots=True)
@@ -72,6 +72,11 @@ class Lsu(Component):
         self.dma = dma
         self.stash = stash
         self._line_shift = config.offset_bits
+        #: what a coalescing memo depends on besides the lane addresses
+        self._memo_key = (config.offset_bits, config.l1_banks)
+        #: the MSHR's entry dict, read directly by the per-cycle checks
+        self._mshr_entries = l1.mshr._entries
+        self._mshr_capacity = l1.mshr.capacity
         self.busy_until = 0
         self.release_active = False
         #: trace capture point at the LSU->L1 boundary: when a
@@ -91,12 +96,35 @@ class Lsu(Component):
         self.rejections = {c: 0 for c in MemStructCause}
 
     # ------------------------------------------------------------------
-    # Address helpers
+    # Address helpers: facts of an instruction's lane addresses, computed
+    # once per instruction and memoized on it (a warp re-checks a waiting
+    # instruction every cycle, and none of these can change meanwhile).
     # ------------------------------------------------------------------
+    def coalesced(self, instr: Instruction) -> tuple[list[int], int]:
+        """``(lines, degree)``: the distinct cache lines ``instr`` touches
+        and their L1 bank-conflict degree (see :meth:`lines_of`)."""
+        memo = instr._coalesced
+        if memo is None or memo[0] != self._memo_key:
+            memo = self._coalesce(instr)
+        return memo[1], memo[2]
+
     def lines_of(self, instr: Instruction) -> list[int]:
-        """Distinct cache lines touched, in first-lane order (coalescing)."""
+        """Distinct cache lines touched, in first-lane order (coalescing).
+
+        The list is memoized on ``instr`` and shared by every call: never
+        mutate it."""
+        memo = instr._coalesced
+        if memo is None or memo[0] != self._memo_key:
+            memo = self._coalesce(instr)
+        return memo[1]
+
+    def _coalesce(self, instr: Instruction) -> tuple:
         shift = self._line_shift
-        return list(dict.fromkeys([a >> shift for a in instr.addrs]))
+        lines = list(dict.fromkeys([a >> shift for a in instr.addrs]))
+        memo = instr._coalesced = (
+            self._memo_key, lines, self.l1_bank_conflict_degree(lines)
+        )
+        return memo
 
     def l1_bank_conflict_degree(self, lines: list[int]) -> int:
         counts: dict[int, int] = {}
@@ -105,6 +133,18 @@ class Lsu(Component):
             counts[b] = counts.get(b, 0) + 1
         return max(counts.values()) if counts else 1
 
+    def stash_lines(self, instr: Instruction) -> "LinePairs":
+        """:meth:`Stash.line_pairs` of ``instr``'s lanes, recomputed only
+        when the stash map changes (``Stash.map_version``)."""
+        stash = self.stash
+        assert stash is not None, "stash instruction without a stash"
+        memo = instr._stash_lines
+        if memo is None or memo[0] is not stash or memo[1] != stash.map_version:
+            memo = instr._stash_lines = (
+                stash, stash.map_version, stash.line_pairs(instr.addrs)
+            )
+        return memo[2]
+
     # ------------------------------------------------------------------
     # Structural-hazard check (order defines the reported cause)
     # ------------------------------------------------------------------
@@ -112,43 +152,43 @@ class Lsu(Component):
         """Why ``instr`` cannot enter the LSU this cycle, or ``None``."""
         if now < self.busy_until:
             return self._reject(MemStructCause.BANK_CONFLICT)
-        if (
-            self.release_active
-            and not self.config.sfifo_release
-            and instr.op is not Op.ATOMIC
-        ):
-            return self._reject(MemStructCause.PENDING_RELEASE)
-        if instr.op is Op.ATOMIC:
+        op = instr.op
+        if op is Op.ATOMIC:
             return None  # atomics travel straight to the L2
+        if self.release_active and not self.config.sfifo_release:
+            return self._reject(MemStructCause.PENDING_RELEASE)
+        space = instr.space
         # Head-of-line: a full MSHR blocks the unit for every access.
-        if instr.op is Op.LOAD and self.l1.mshr.is_full():
-            if instr.space is Space.GLOBAL and all(
-                self.l1.mshr_can_allocate(line) or self.l1.cache.contains(line)
-                for line in self.lines_of(instr)
+        entries = self._mshr_entries
+        if op is Op.LOAD and len(entries) >= self._mshr_capacity:
+            contains = self.l1.cache.contains
+            if space is Space.GLOBAL and all(
+                line in entries or contains(line) for line in self.lines_of(instr)
             ):
                 pass  # all lines hit or merge: no new entry needed
             else:
                 self.l1.mshr.note_rejection()
                 return self._reject(MemStructCause.MSHR_FULL)
-        if instr.space is Space.GLOBAL:
+        if space is Space.GLOBAL:
             return self._check_global(instr)
-        if instr.space is Space.SCRATCH:
+        if space is Space.SCRATCH:
             return self._check_scratch(instr)
-        if instr.space is Space.STASH:
+        if space is Space.STASH:
             return self._check_stash(instr)
-        raise ValueError("unknown address space %r" % (instr.space,))
+        raise ValueError("unknown address space %r" % (space,))
 
     def _check_global(self, instr: Instruction) -> MemStructCause | None:
         lines = self.lines_of(instr)
         if instr.op is Op.LOAD:
-            need = sum(
-                1
-                for line in lines
-                if not self.l1.cache.contains(line) and self.l1.mshr.lookup(line) is None
-            )
-            free = self.l1.mshr.capacity - self.l1.mshr.occupancy
-            if need > free:
-                if need > self.l1.mshr.capacity and self.l1.mshr.occupancy == 0:
+            entries = self._mshr_entries
+            contains = self.l1.cache.contains
+            need = 0
+            for line in lines:
+                if line not in entries and not contains(line):
+                    need += 1
+            capacity = self._mshr_capacity
+            if need > capacity - len(entries):
+                if need > capacity and not entries:
                     # Oversized gather: can never fit at once.  Admit it
                     # against an idle MSHR; the SM issues it in waves
                     # (see SM._issue_global_load) instead of deadlocking.
@@ -163,32 +203,22 @@ class Lsu(Component):
         return None
 
     def _check_scratch(self, instr: Instruction) -> MemStructCause | None:
-        if self.dma is not None and self.dma.load_in_progress():
+        if self.dma is not None and self.dma.inbound:
             # Core-granularity blocking on a pending DMA (Section 6.2.1).
             return self._reject(MemStructCause.PENDING_DMA)
         return None
 
     def _check_stash(self, instr: Instruction) -> MemStructCause | None:
         stash = self.stash
-        assert stash is not None, "stash instruction without a stash"
+        pairs = self.stash_lines(instr)
         if instr.op is Op.LOAD:
-            mshr = self.l1.mshr
-            if stash.fills_needed(instr.addrs) > mshr.capacity - mshr.occupancy:
-                mshr.note_rejection()
+            if stash.fills_for(pairs) > self._mshr_capacity - len(self._mshr_entries):
+                self.l1.mshr.note_rejection()
                 return self._reject(MemStructCause.MSHR_FULL)
             return None
         # Stash store: dirtying a clean line needs a store-buffer slot for
         # the DeNovo registration request (aggregate admission).
-        glines: list[int] = []
-        seen: set[int] = set()
-        shift = self._line_shift
-        for a in instr.addrs:
-            lline = a >> shift
-            if lline in seen:
-                continue
-            seen.add(lline)
-            if not stash.is_dirty(a):
-                glines.append(stash.global_line_of(a))
+        glines = stash.registrations(pairs)
         if glines and not self.l1.can_accept_stores(glines):
             self.l1.store_buffer.full_rejections += 1
             return self._reject(MemStructCause.STORE_BUFFER_FULL)

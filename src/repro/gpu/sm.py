@@ -36,10 +36,9 @@ pins the tick's behaviour scenario by scenario.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.attribution import SmAttribution
 from repro.core.component import Component
@@ -96,13 +95,6 @@ assert _CYCLE_RANK == {
     _IDLE: 7,
 }
 
-_tags = itertools.count(1)
-
-
-def _next_tag() -> int:
-    return next(_tags)
-
-
 class SM(Component):
     """One streaming multiprocessor."""
 
@@ -118,8 +110,13 @@ class SM(Component):
         scratchpad: "Scratchpad | None" = None,
         dma: "DmaEngine | None" = None,
         stash: "Stash | None" = None,
+        *,
+        tags: Iterator[int],
     ) -> None:
         Component.__init__(self, "sm%d" % sm_id)
+        #: access-group tags, from the one counter the System shares among
+        #: its SMs (a fresh System starts at 1)
+        self._next_tag = tags.__next__
         self.sm_id = sm_id
         self.node = node
         self.config = config
@@ -447,10 +444,9 @@ class SM(Component):
             self._issue_stash_load(warp, instr, now)
 
     def _issue_global_load(self, warp: Warp, instr: Instruction, now: int) -> None:
-        lines = self.lsu.lines_of(instr)
-        degree = self.lsu.l1_bank_conflict_degree(lines)
+        lines, degree = self.lsu.coalesced(instr)
         self.lsu.occupy(now, degree - 1)
-        group = AccessGroup(tag=_next_tag(), remaining=len(lines))
+        group = AccessGroup(tag=self._next_tag(), remaining=len(lines))
         sink = self.lsu.trace_sink
         if sink is not None:
             sink.load(now, warp.ctx.warp_id, group.tag, lines)
@@ -537,7 +533,7 @@ class SM(Component):
         """A load ``storage`` serves after its bank-conflict serialization."""
         cycles = storage.access_cycles(instr.addrs)
         self.lsu.occupy(now, cycles - 1)
-        tag = _next_tag()
+        tag = self._next_tag()
         self._await_memory(warp, instr, tag)
         self.engine.schedule(cycles, lambda: self._local_load_done(warp, instr, tag))
 
@@ -563,16 +559,13 @@ class SM(Component):
     def _issue_stash_load(self, warp: Warp, instr: Instruction, now: int) -> None:
         stash = self.stash
         assert stash is not None, "stash load without a stash"
-        local_line = stash.local_line
-        local_lines: dict[int, int] = {}
-        for a in instr.addrs:
-            local_lines.setdefault(local_line(a), a)
-        if all(stash.is_present(a) for a in local_lines.values()):
+        pairs = self.lsu.stash_lines(instr)
+        if all(stash.is_present(a) for _, _, a in pairs):
             self._issue_local_load(warp, instr, now, stash.storage)
             return
-        group = AccessGroup(tag=_next_tag(), remaining=len(local_lines))
+        group = AccessGroup(tag=self._next_tag(), remaining=len(pairs))
         self._await_memory(warp, instr, group.tag)
-        for addr in local_lines.values():
+        for _, _, addr in pairs:
             stash.access_load(
                 addr,
                 lambda loc, g=group, w=warp, i=instr: self._group_line_done(w, i, g, loc),
@@ -584,8 +577,7 @@ class SM(Component):
         if instr.space is Space.GLOBAL:
             if value is not None:
                 self.memory.store_word(instr.addrs[0], value)
-            lines = self.lsu.lines_of(instr)
-            degree = self.lsu.l1_bank_conflict_degree(lines)
+            lines, degree = self.lsu.coalesced(instr)
             self.lsu.occupy(now, degree - 1)
             sink = self.lsu.trace_sink
             if sink is not None:
@@ -610,24 +602,19 @@ class SM(Component):
             stash.storage.store_word(instr.addrs[0], value)
         cycles = stash.storage.access_cycles(instr.addrs)
         self.lsu.occupy(now, cycles - 1)
-        seen: set[int] = set()
-        local_line = stash.local_line
-        for a in instr.addrs:
-            lline = local_line(a)
-            if lline in seen:
-                continue
-            seen.add(lline)
-            was_dirty = stash.is_dirty(a)
+        pairs = self.lsu.stash_lines(instr)
+        # First dirtying of a line: DeNovo registration through the store
+        # buffer (this is the stash's SB pressure).
+        registrations = stash.registrations(pairs)
+        for _, _, a in pairs:
             stash.access_store(a)
-            if not was_dirty:
-                # First dirtying of the line: DeNovo registration through
-                # the store buffer (this is the stash's SB pressure).
-                self.l1.store_line(stash.global_line_of(a))
+        for gline in registrations:
+            self.l1.store_line(gline)
 
     # -- atomics -------------------------------------------------------------
     def _issue_atomic(self, warp: Warp, instr: Instruction, now: int) -> None:
         assert instr.atomic_fn is not None
-        tag = next(_tags)  # _next_tag(), sans the wrapper call
+        tag = self._next_tag()
         kind = "sync" if (instr.acquire or instr.release) else "mem"
         sink = self.lsu.trace_sink
         if sink is not None:

@@ -64,8 +64,13 @@ class DmaEngine(Component):
         self._l2_latency = config.effective_hierarchy().directory_level.hit_latency
         self._line_shift = config.offset_bits
         self._interval = config.dma_issue_interval
-        self._mshr = l1.mshr
+        #: the MSHR's entry dict, read directly by the throttled poll
+        self._mshr_entries = l1.mshr._entries
+        self._mshr_capacity = l1.mshr.capacity
         self._transfers: list[DmaTransfer] = []
+        #: incomplete inbound (global -> scratch) transfers: the LSU's
+        #: pending-DMA test, kept by start/_line_done
+        self.inbound = 0
         self._pump_scheduled = False
         # Refill a freed MSHR entry in the same event window, before the SM
         # re-evaluates -- a per-cycle DMA engine would have claimed the slot
@@ -79,12 +84,15 @@ class DmaEngine(Component):
     # ------------------------------------------------------------------
     def start(self, transfer: DmaTransfer) -> None:
         self._transfers.append(transfer)
+        if transfer.to_scratch:
+            self.inbound += 1
         self._schedule_pump()
 
     def load_in_progress(self) -> bool:
         """Any inbound (global -> scratch) transfer still incomplete?
 
-        Scratchpad accesses block on this at core granularity.
+        Scratchpad accesses block on this at core granularity (the LSU
+        reads the equivalent count :attr:`inbound`).
         """
         return any(t.to_scratch and not t.done() for t in self._transfers)
 
@@ -124,8 +132,12 @@ class DmaEngine(Component):
             return
         offset = transfer.next_offset
         gline = (transfer.global_base + offset) >> self._line_shift
-        mshr = self._mshr
-        if transfer.to_scratch and mshr.is_full() and mshr.lookup(gline) is None:
+        entries = self._mshr_entries
+        if (
+            transfer.to_scratch
+            and len(entries) >= self._mshr_capacity
+            and gline not in entries
+        ):
             # Throttled by MSHR capacity: retry next cycle.  This is the
             # mechanism that converts a small MSHR into "full MSHR" stalls
             # for the whole core under scratchpad+DMA.
@@ -150,23 +162,24 @@ class DmaEngine(Component):
 
     def _load_done(self, transfer: DmaTransfer, offset: int) -> None:
         # Functional copy: move one line of words global -> scratchpad.
-        load = self.l1.memory.load_word
         delta = transfer.global_base - transfer.scratch_base
         base = transfer.scratch_base + offset
         addrs = range(base, base + min(self.config.line_size, transfer.size - offset), 4)
-        self.scratchpad.store_words(addrs, [load(a + delta) for a in addrs])
+        self.scratchpad.store_words(
+            addrs, self.l1.memory.load_words([a + delta for a in addrs])
+        )
         self.lines_loaded.value += 1
         self._line_done(transfer)
 
     def _issue_store(self, transfer: DmaTransfer, offset: int, gline: int) -> None:
         # Functional copy scratch -> global at issue, then a write-through
         # message carries it to the L2 (DMA stores bypass the store buffer).
-        store = self.l1.memory.store_word
         delta = transfer.global_base - transfer.scratch_base
         base = transfer.scratch_base + offset
         addrs = range(base, base + min(self.config.line_size, transfer.size - offset), 4)
-        for a, value in zip(addrs, self.scratchpad.load_words(addrs)):
-            store(a + delta, value)
+        self.l1.memory.store_words(
+            [a + delta for a in addrs], self.scratchpad.load_words(addrs)
+        )
         l1 = self.l1
         mesh = l1.mesh
         home = l1.home_nodes[gline % len(l1.home_nodes)]
@@ -187,5 +200,7 @@ class DmaEngine(Component):
         transfer.outstanding -= 1
         if transfer.done():
             self._transfers.remove(transfer)
+            if transfer.to_scratch:
+                self.inbound -= 1
             if transfer.on_done is not None:
                 transfer.on_done()

@@ -16,6 +16,8 @@ queues up realistically.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.component import Component
 
 
@@ -32,6 +34,15 @@ class GlobalMemory:
 
     def store_word(self, addr: int, value: int) -> None:
         self._words[addr & ~0x3] = value
+
+    def load_words(self, addrs: Iterable[int]) -> list[int]:
+        """``load_word`` of each address, in order."""
+        get = self._words.get
+        return [get(a & ~0x3, 0) for a in addrs]
+
+    def store_words(self, addrs: Iterable[int], values: Iterable[int]) -> None:
+        """``store_word`` for each address/value pair, in order."""
+        self._words.update(zip([a & ~0x3 for a in addrs], values))
 
     def atomic_rmw(self, addr: int, fn) -> tuple[int, int]:
         """Apply ``fn(old) -> (new, result)`` atomically; returns ``(old, result)``.

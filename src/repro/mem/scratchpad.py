@@ -42,10 +42,21 @@ class Scratchpad(Component):
         """Max accesses landing in one bank (1 = conflict free)."""
         if not addrs:
             return 1
+        word, banks = self.WORD, self.banks
+        hit = [(a // word) % banks for a in addrs]
+        distinct = len(set(hit))
+        if distinct == len(hit):
+            return 1  # every lane on its own bank (e.g. consecutive words)
+        # Strided lanes hit each of their banks equally often, ``degree``
+        # times: sorted, every block of ``degree`` entries is then one
+        # bank, which its first and last entries show.
+        hit.sort()
+        degree, rest = divmod(len(hit), distinct)
+        if not rest and hit[::degree] == hit[degree - 1::degree]:
+            return degree
         counts: dict[int, int] = {}
-        word, banks, get = self.WORD, self.banks, counts.get
-        for a in addrs:
-            b = (a // word) % banks
+        get = counts.get
+        for b in hit:
             counts[b] = get(b, 0) + 1
         return max(counts.values())
 

@@ -28,6 +28,11 @@ from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 
 
+#: ``(local line, global line, lane address)`` per distinct local line of
+#: an access (:meth:`Stash.line_pairs`)
+LinePairs = list[tuple[int, "int | None", int]]
+
+
 @dataclass
 class StashMapping:
     """One contiguous stash<->global mapping (a stash map entry)."""
@@ -59,7 +64,12 @@ class Stash(Component):
         self.l1 = l1
         self.storage = storage
         self._shift = config.offset_bits
+        #: the MSHR's entry dict, read directly by the LSU's fill count
+        self._mshr_entries = l1.mshr._entries
         self._mappings: list[StashMapping] = []
+        #: bumped by every change to ``_mappings``; keys the LSU's memo of
+        #: an instruction's :meth:`line_pairs`
+        self.map_version = 0
         #: local line index -> present
         self._valid: set[int] = set()
         self._dirty: set[int] = set()
@@ -77,12 +87,20 @@ class Stash(Component):
     def map_region(self, scratch_base: int, global_base: int, size: int) -> None:
         """Install a stash-map entry (no data movement happens here)."""
         self._mappings.append(StashMapping(scratch_base, global_base, size))
+        self.map_version += 1
 
     def mapping_for(self, scratch_addr: int) -> StashMapping:
+        mapping = self._find_mapping(scratch_addr)
+        if mapping is None:
+            raise KeyError("stash address %#x is not mapped" % scratch_addr)
+        return mapping
+
+    def _find_mapping(self, scratch_addr: int) -> StashMapping | None:
+        """The first mapping that covers ``scratch_addr``, or ``None``."""
         for m in self._mappings:
-            if m.scratch_base <= scratch_addr < m.scratch_base + m.size:
+            if m.contains(scratch_addr):
                 return m
-        raise KeyError("stash address %#x is not mapped" % scratch_addr)
+        return None
 
     def local_line(self, scratch_addr: int) -> int:
         return scratch_addr >> self._shift
@@ -97,20 +115,50 @@ class Stash(Component):
     def is_present(self, scratch_addr: int) -> bool:
         return self.local_line(scratch_addr) in self._valid
 
+    def line_pairs(self, addrs: Sequence[int]) -> LinePairs:
+        """``(local line, global line, lane address)`` for each distinct
+        local line of ``addrs``, in first-lane order, the global line mapped
+        through that first lane (``None`` while the lane is unmapped).
+
+        Depends only on ``addrs`` and the map: the LSU memoizes it per
+        instruction under :attr:`map_version`."""
+        shift = self._shift
+        firsts: dict[int, int] = {}
+        for a in addrs:
+            firsts.setdefault(a >> shift, a)
+        pairs = []
+        for lline, a in firsts.items():
+            m = self._find_mapping(a)
+            gline = None if m is None else m.to_global(a) >> shift
+            pairs.append((lline, gline, a))
+        return pairs
+
     def fills_needed(self, addrs: Sequence[int]) -> int:
         """Fresh MSHR allocations a load of ``addrs`` would trigger."""
+        return self.fills_for(self.line_pairs(addrs))
+
+    def fills_for(self, pairs: LinePairs) -> int:
+        """:meth:`fills_needed` of the lanes ``pairs`` came from."""
         need = 0
-        seen: set[int] = set()
-        shift, valid, filling = self._shift, self._valid, self._filling
-        lookup = self.l1.mshr.lookup
-        for a in addrs:
-            lline = a >> shift
-            if lline in seen or lline in valid or lline in filling:
+        valid, filling, entries = self._valid, self._filling, self._mshr_entries
+        for lline, gline, a in pairs:
+            if lline in valid or lline in filling:
                 continue
-            seen.add(lline)
-            if lookup(self.global_line_of(a)) is None:
+            if gline is None:
+                gline = self.global_line_of(a)  # raises: unmapped
+            if gline not in entries:
                 need += 1
         return need
+
+    def registrations(self, pairs: LinePairs) -> list[int]:
+        """Global lines a store to the lanes of ``pairs`` registers: one per
+        local line it dirties for the first time."""
+        dirty = self._dirty
+        return [
+            gline if gline is not None else self.global_line_of(a)
+            for lline, gline, a in pairs
+            if lline not in dirty
+        ]
 
     def access_load(
         self,
@@ -143,10 +191,11 @@ class Stash(Component):
         self, lline: int, mapping: StashMapping, loc: ServiceLocation
     ) -> None:
         # Functional copy: one line global -> stash storage.
-        load = self.l1.memory.load_word
         delta = mapping.global_base - mapping.scratch_base
         addrs = self._mapped_words(lline, mapping)
-        self.storage.store_words(addrs, [load(a + delta) for a in addrs])
+        self.storage.store_words(
+            addrs, self.l1.memory.load_words([a + delta for a in addrs])
+        )
         self._valid.add(lline)
         self.fills.value += 1
         for cb in self._filling.pop(lline, []):
@@ -171,8 +220,7 @@ class Stash(Component):
         for lline in range(first, last + 1):
             if lline in self._dirty:
                 self._dirty.discard(lline)
-                base = lline << self._shift
-                mapping = next((m for m in self._mappings if m.contains(base)), None)
+                mapping = self._find_mapping(lline << self._shift)
                 if mapping is not None:
                     self._wb_queue.append((lline, mapping))
         self._schedule_wb()
@@ -191,6 +239,7 @@ class Stash(Component):
             for m in self._mappings
             if not (scratch_base <= m.scratch_base and m.scratch_base + m.size <= scratch_base + size)
         ]
+        self.map_version += 1
 
     def _schedule_wb(self) -> None:
         if self._wb_scheduled or not self._wb_queue:
@@ -210,11 +259,11 @@ class Stash(Component):
             return
         self._wb_queue.pop(0)
         # Functional copy stash -> global, then the timing write.
-        store = self.l1.memory.store_word
         delta = mapping.global_base - mapping.scratch_base
         addrs = self._mapped_words(lline, mapping)
-        for a, value in zip(addrs, self.storage.load_words(addrs)):
-            store(a + delta, value)
+        self.l1.memory.store_words(
+            [a + delta for a in addrs], self.storage.load_words(addrs)
+        )
         self.l1.store_line(gline)
         self.writebacks.value += 1
         self._schedule_wb()

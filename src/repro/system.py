@@ -14,6 +14,7 @@ off the SMs' issue stages through
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 from repro.core.attribution import Inspector
@@ -189,6 +190,8 @@ class System(Component):
         ]
 
         self.mesh.attach_directory(self.l2.handle_message)
+        #: the access-group tags of every SM of this machine
+        tags = itertools.count(1)
         self.sms: list[SM] = []
         for sm_id, node in enumerate(self.sm_nodes):
             l1 = L1Controller(
@@ -227,6 +230,7 @@ class System(Component):
                 scratchpad=scratchpad,
                 dma=dma,
                 stash=stash,
+                tags=tags,
             )
             self.sms.append(sm)
             self.add_child(sm)

@@ -183,10 +183,10 @@ class TraceRecorder:
         Two normalizations happen here, both deterministic in
         (SM, issue-order) order:
 
-        * access-group tags come from a process-global counter, so they are
-          renumbered to a dense per-trace namespace (1, 2, ...) -- this is
-          what makes two recordings of the same run byte-identical even
-          within one process;
+        * access-group tags come from one counter the System shares among
+          its SMs, numbered in the order the SMs issue; they are renumbered
+          to a dense per-trace namespace (1, 2, ...) in (SM, issue) order,
+          which is the numbering the trace bytes are defined by;
         * per-SM events are flattened into the file format's flat integer
           streams, and stall spans are aggregated into per-(kind, detail)
           totals.

@@ -92,11 +92,14 @@ class _ImplicitBase(Workload):
         lines = []
         for tb in range(self.num_tbs):
             base = self.global_chunk(cfg, tb)
-            for off in range(0, self.chunk_bytes(cfg), 4):
-                system.memory.store_word(base + off, (tb << 16) | (off & 0xFFFF))
+            size = self.chunk_bytes(cfg)
+            system.memory.store_words(
+                range(base, base + size, 4),
+                [(tb << 16) | (off & 0xFFFF) for off in range(0, size, 4)],
+            )
             lines.extend(
                 cfg.line_of(base + off)
-                for off in range(0, self.chunk_bytes(cfg), cfg.line_size)
+                for off in range(0, size, cfg.line_size)
             )
         system.l2.warm_lines(lines)
 

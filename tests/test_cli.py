@@ -96,6 +96,25 @@ class TestRun:
         assert "non-empty 'levels'" in capsys.readouterr().err
         assert main(["run", "streaming", "--hierarchy", "missing.json"]) == 2
 
+    def test_store_buffer_0_exits_2_on_every_command(self, tmp_path, capsys):
+        """``--store-buffer 0`` is an empty buffer, not "follow --mshr":
+        run and record reject it with replay's error."""
+        trace = str(tmp_path / "t.gsitrace")
+        assert main(["trace", "record", "streaming", "--sms", "2", "-o", trace]) == 0
+        capsys.readouterr()
+        assert main(["trace", "replay", trace, "--store-buffer", "0"]) == 2
+        replay_err = capsys.readouterr().err
+        assert replay_err.startswith("error: ")
+        unwritten = str(tmp_path / "never.gsitrace")
+        for argv in (
+            ["run", "streaming", "--sms", "2", "--store-buffer", "0"],
+            ["trace", "record", "streaming", "--sms", "2", "--store-buffer", "0",
+             "-o", unwritten],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == replay_err
+        assert not (tmp_path / "never.gsitrace").exists()
+
 
 class TestOptionChecks:
     """Bad numeric options exit 2 with ``error:`` before anything runs."""

@@ -203,6 +203,18 @@ class TestFunctionalMemory:
         mem.store_word(0x103, 5)
         assert mem.load_word(0x100) == 5
 
+    def test_bulk_words_match_word_by_word(self):
+        """``store_words``/``load_words`` act as the word loop, down to the
+        order of the word dict (the memory image's iteration order)."""
+        bulk, single = GlobalMemory(), GlobalMemory()
+        addrs, values = [0x10, 0x203, 0x8, 0x11, 0x4], [1, 2, 3, 4, 5]
+        bulk.store_words(addrs, values)
+        for a, v in zip(addrs, values):
+            single.store_word(a, v)
+        assert list(bulk._words.items()) == list(single._words.items())
+        probe = [0x10, 0x200, 0x4, 0x999]
+        assert bulk.load_words(probe) == [single.load_word(a) for a in probe]
+
     def test_atomic_rmw_returns_old_and_result(self):
         mem = GlobalMemory()
         mem.store_word(0x40, 10)

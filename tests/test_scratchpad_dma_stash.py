@@ -82,9 +82,11 @@ class TestDmaEngine:
             )
         )
         assert dma.load_in_progress()
+        assert dma.inbound == 1
         sys.engine.run()
         assert done
         assert not dma.load_in_progress()
+        assert dma.inbound == 0
         assert pad.load_word(0x10) == 0x10
         assert dma.lines_loaded == 4
 
@@ -167,6 +169,7 @@ class TestDmaEngine:
             DmaTransfer(global_base=0x2000, scratch_base=0, size=128, to_scratch=False)
         )
         assert not dma.load_in_progress()
+        assert dma.inbound == 0
         assert dma.any_in_progress()
 
 

@@ -160,3 +160,17 @@ class TestDeterminism:
         assert a.breakdown.counts == b.breakdown.counts
         assert a.breakdown.mem_data == b.breakdown.mem_data
         assert a.breakdown.mem_struct == b.breakdown.mem_struct
+
+    def test_access_group_tags_are_per_system(self):
+        """Every System numbers its access groups from 1 with one counter
+        its SMs share, and a run leaves no state behind in the SM module."""
+        import repro.gpu.sm as sm_module
+
+        first, second = System(SystemConfig(num_sms=2)), System(SystemConfig(num_sms=2))
+        assert first.sms[0]._next_tag() == 1
+        assert first.sms[1]._next_tag() == 2  # shared by the SMs
+        assert second.sms[1]._next_tag() == 1
+
+        before = {name: repr(value) for name, value in vars(sm_module).items()}
+        run_workload(SystemConfig(num_sms=2), StreamingWorkload(num_tbs=2))
+        assert {name: repr(value) for name, value in vars(sm_module).items()} == before
